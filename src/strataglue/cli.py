@@ -359,6 +359,7 @@ def cmd_morse(args) -> int:
         )
     if args.export:
         family = analysis.to_family()
+        Path(args.export).parent.mkdir(parents=True, exist_ok=True)
         save_family(family, args.export)
         doc["exported_family"] = str(args.export)
     jpath, cpath = _write_report(args.out, "morse_report", doc, rows)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, root
+from scipy.spatial import cKDTree
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
 from .family import ArcData, ArcEnd, PairModuli, StratifiedFamily, from_morse
@@ -265,17 +266,6 @@ def double_system(weight: float = 1.3) -> MorseSystem:
         lambda u: float(h(u[0]) + weight * h(u[1])),
         grad=lambda u: np.array([dh(u[0]), weight * dh(u[1])]),
         box=([-2.5, -2.5], [2.5, 2.5]),
-    )
-
-
-def factor_system(weight: float = 1.0) -> MorseSystem:
-    """One cubic factor of double_system, as its own 1-d system."""
-
-    return MorseSystem(
-        "factor", 1,
-        lambda u: float(weight * (u[0] ** 3 / 3.0 - u[0])),
-        grad=lambda u: np.array([weight * (u[0] * u[0] - 1.0)]),
-        box=([-2.5], [2.5]),
     )
 
 
@@ -562,9 +552,6 @@ class Trajectory:
     anchor: np.ndarray          # chart point at the pair's mid level of f
     angle: float | None = None  # shooting parameter, when applicable
 
-    def image(self) -> np.ndarray:
-        return self.points
-
 
 def _unstable_frame(system: MorseSystem, crit: CriticalPointData) -> np.ndarray:
     """Orthonormal-ish basis of the unstable space of the flow at crit."""
@@ -700,8 +687,19 @@ def _make_trajectory(
 # ---------------------------------------------------------------------
 
 
+_CHUNK = 16  # points per exact kernel call in _farthest
+
+
 def _points_to_polyline(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Distance from each point of P to the polyline with vertices Q."""
+    """Distance from each point of P to the polyline with vertices Q.
+
+    The dense reference: every point against every segment, P×S×dim
+    temporaries.  Each row depends only on its own point, so calling it
+    on a subset of P gives the same values, bit for bit, as the
+    matching rows of a call on all of P.  ``_farthest`` relies on that
+    (it is the per-chunk kernel there), and the tests use this function
+    as the oracle for ``hausdorff`` and ``hausdorff_to_union``.
+    """
     A = Q[:-1]
     B = Q[1:]
     AB = B - A
@@ -713,11 +711,45 @@ def _points_to_polyline(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _farthest(P: np.ndarray, parts, tree: cKDTree, cmax: float) -> float:
+    """max(cmax, max over p in P of min over parts of the polyline distance).
+
+    Exact early break (Taha & Hanbury, IEEE TPAMI 37, 2015).  Each
+    point's distance to the nearest vertex of the parts (``tree`` holds
+    them all) bounds its distance to the polylines from above, since a
+    vertex lies on a segment.  Points are visited in descending bound,
+    ``_CHUNK`` at a time, each chunk through ``_points_to_polyline``;
+    the search stops once the largest bound left cannot beat the
+    running maximum.  The bound is inflated by a relative 1e-12 and an
+    absolute 1e-12 * (scale + 1), scale the largest coordinate: far
+    above the rounding of the tree's and the kernel's distances (the
+    kernel can put a vertex an ulp off its own segment), so no skipped
+    point could have raised the maximum and the result equals the
+    dense pass exactly.
+    """
+    scale = max(float(np.abs(X).max()) for X in (P, *parts))
+    ub = tree.query(P)[0] * (1.0 + 1e-12) + 1e-12 * (scale + 1.0)
+    order = np.argsort(-ub, kind="stable")
+    for start in range(0, len(order), _CHUNK):
+        idx = order[start:start + _CHUNK]
+        if ub[idx[0]] <= cmax:
+            break
+        d = _points_to_polyline(P[idx], parts[0])
+        for Q in parts[1:]:
+            d = np.minimum(d, _points_to_polyline(P[idx], Q))
+        cmax = max(cmax, float(d.max()))
+    return cmax
+
+
 def hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two sampled curves.
 
     Each side measures point-to-polyline (segment) distances, so the
     result is insensitive to the sampling density to second order.
+    Both directed maxima run through ``_farthest``, the second starting
+    from the first: the value is that of the dense pass over
+    ``_points_to_polyline``, but points whose vertex bound cannot raise
+    the maximum are never measured.
     """
     P = np.atleast_2d(P)
     Q = np.atleast_2d(Q)
@@ -726,21 +758,23 @@ def hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
         return float(d1.max())
     if len(P) < 2:
         return float(_points_to_polyline(Q, P.repeat(2, axis=0)).max())
-    return float(
-        max(_points_to_polyline(P, Q).max(), _points_to_polyline(Q, P).max())
-    )
+    h = _farthest(P, [Q], cKDTree(Q), 0.0)
+    return _farthest(Q, [P], cKDTree(P), h)
 
 
 def hausdorff_to_union(P: np.ndarray, parts) -> float:
-    """Hausdorff distance from curve P to a union of sampled curves."""
+    """Hausdorff distance from curve P to a union of sampled curves.
+
+    Computed like ``hausdorff``: P against the union, bounded by the
+    nearest vertex of any part, then each part back against P.
+    """
     P = np.atleast_2d(P)
-    to_union = np.full(len(P), np.inf)
-    back = 0.0
+    parts = [np.atleast_2d(Q) for Q in parts]
+    h = _farthest(P, parts, cKDTree(np.vstack(parts)), 0.0)
+    tree = cKDTree(P)
     for Q in parts:
-        Q = np.atleast_2d(Q)
-        to_union = np.minimum(to_union, _points_to_polyline(P, Q))
-        back = max(back, float(_points_to_polyline(Q, P).max()))
-    return float(max(to_union.max(), back))
+        h = _farthest(Q, [P], tree, h)
+    return h
 
 
 # ---------------------------------------------------------------------
@@ -1042,12 +1076,6 @@ class ModuliAnalysis:
         }
         self._sweeps[p.id] = result
         return result
-
-    @staticmethod
-    def _is_jump(a, b, thresh: float = 0.35) -> bool:
-        if a[0] != b[0]:
-            return True
-        return bool(np.linalg.norm(a[1] - b[1]) > thresh)
 
     # -- one-dimensional moduli -----------------------------------------
 

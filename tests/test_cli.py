@@ -105,6 +105,18 @@ def test_morse_well(tmp_path, capsys):
     assert doc["critical_points"][0]["index"] == 0
 
 
+def test_morse_export_creates_missing_directory(tmp_path, capsys):
+    export = tmp_path / "new" / "well.json"
+    code = main([
+        "morse", "--system", "well", "--out", str(tmp_path / "new"),
+        "--export", str(export),
+    ])
+    assert code == 0
+    assert export.is_file()
+    # the well has a single critical point, so no comparable pairs
+    assert load_family(export).pairs() == []
+
+
 def test_morse_custom_expression_file(tmp_path, capsys):
     spec = {
         "name": "bowl",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strataglue import (
     InputError,
@@ -18,6 +19,7 @@ from strataglue import (
     tilted_torus,
 )
 from strataglue.morse import (
+    _points_to_polyline,
     hausdorff,
     hausdorff_to_union,
     integrate_flow,
@@ -286,3 +288,114 @@ def test_hausdorff_basics():
     R = np.array([[0.0, 0.0], [0.5, 0.0]])
     S = np.array([[0.5, 0.0], [1.0, 0.0]])
     assert hausdorff_to_union(P, [R, S]) < 1e-12
+
+
+# exactness of the early-break search against the dense pass
+
+
+def _dense_hausdorff(P, Q):
+    if len(Q) < 2:
+        return float(np.linalg.norm(P - Q[0], axis=1).max())
+    if len(P) < 2:
+        return float(_points_to_polyline(Q, P.repeat(2, axis=0)).max())
+    return float(max(_points_to_polyline(P, Q).max(),
+                     _points_to_polyline(Q, P).max()))
+
+
+def _dense_to_union(P, parts):
+    to_union = np.min([_points_to_polyline(P, Q) for Q in parts], axis=0)
+    back = max(_points_to_polyline(Q, P).max() for Q in parts)
+    return float(max(to_union.max(), back))
+
+
+@st.composite
+def _polyline(draw, dim, min_size=1):
+    # random walk whose steps mix repeated vertices, fine and coarse sampling
+    steps = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1e-7, 1e-4, 1e-2, 0.3, 2.0]),
+        min_size=min_size - 1, max_size=59,
+    ))).reshape(-1, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dirs = rng.normal(size=(len(steps), dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    start = rng.uniform(-3.0, 3.0, dim)
+    return np.vstack([start, start + np.cumsum(steps * dirs, axis=0)])
+
+
+@st.composite
+def _companion(draw, P, min_size=1):
+    """A second curve near P, as the end tables compare them, or not."""
+    kind = draw(st.sampled_from(
+        ["independent", "same", "nearby", "sparser", "denser"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "same":
+        # every point's vertex bound is 0, yet the kernel can return an
+        # ulp or two at the last vertex
+        Q = P.copy()
+    elif kind == "nearby":
+        Q = P + 10.0 ** -draw(st.integers(2, 9)) * rng.normal(size=P.shape)
+    elif kind == "sparser":
+        keep = rng.random(len(P)) < draw(st.sampled_from([0.05, 0.3, 0.8]))
+        Q = P[keep]
+    elif kind == "denser":
+        # every vertex of P is a vertex of Q, so P's vertex bounds are 0
+        mid = 0.5 * (P[:-1] + P[1:])
+        Q = np.insert(P, np.arange(1, len(P)), mid, axis=0)
+    else:
+        Q = draw(_polyline(P.shape[1], min_size))
+    if len(Q) < min_size:
+        Q = np.vstack([Q, P[-min_size:]])
+    return Q
+
+
+@st.composite
+def _curve_pair(draw):
+    P = draw(_polyline(draw(st.sampled_from([2, 3]))))
+    Q = draw(_companion(P))
+    return (Q, P) if draw(st.booleans()) else (P, Q)
+
+
+@st.composite
+def _curve_and_parts(draw):
+    P = draw(_polyline(draw(st.sampled_from([2, 3])), min_size=2))
+    n = draw(st.integers(1, 3))
+    return P, [draw(_companion(P, min_size=2)) for _ in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_curve_pair())
+def test_hausdorff_equals_dense_pass(pair):
+    P, Q = pair
+    assert hausdorff(P, Q) == _dense_hausdorff(P, Q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_curve_and_parts())
+def test_hausdorff_to_union_equals_dense_pass(case):
+    P, parts = case
+    assert hausdorff_to_union(P, parts) == _dense_to_union(P, parts)
+
+
+def test_hausdorff_farthest_point_mid_segment():
+    # Q is one long segment plus a short one; P follows it with a bump in
+    # the middle of the long segment, far from every vertex of Q
+    x = np.linspace(0.0, 10.0, 201)
+    P = np.vstack([
+        np.stack([x, 0.3 * np.exp(-((x - 5.0) ** 2))], axis=1),
+        [[10.0, 0.5], [10.0, 1.0]],
+    ])
+    Q = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
+    assert np.linalg.norm(Q - P[100], axis=1).min() > 4.0
+    assert hausdorff(P, Q) == _dense_hausdorff(P, Q)
+    assert abs(hausdorff(P, Q) - 0.3) < 1e-12
+    assert hausdorff_to_union(P, [Q[:2], Q[1:]]) == _dense_to_union(P, [Q[:2], Q[1:]])
+
+
+def test_hausdorff_zero_vertex_bound():
+    # every point is a vertex of the other curve, so every vertex bound
+    # is 0, yet the kernel puts the last vertex an ulp off its segment
+    P = np.array([[0.0, 0.0], [0.1, 0.7], [0.1, 0.1]])
+    assert _dense_hausdorff(P, P) > 0.0
+    assert hausdorff(P, P) == _dense_hausdorff(P, P)
+    assert hausdorff_to_union(P, [P]) == _dense_to_union(P, [P])
