@@ -7,6 +7,8 @@ collar (gluing) maps, and verifies the nesting, concatenation and
 associativity identities those maps satisfy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     EpsilonUnderflowError,
     InputError,
@@ -85,67 +87,9 @@ from .morse import (
 
 __version__ = "0.1.0"
 
+# every public class and function imported above, plus the version
 __all__ = [
-    "EpsilonUnderflowError",
-    "InputError",
-    "RangeError",
-    "UnsupportedDimensionError",
-    "Chain",
-    "CriticalPoint",
-    "CriticalPoset",
-    "concat_chains",
-    "enumerate_chains",
-    "is_chain",
-    "is_subchain",
-    "pair_length",
-    "GlueParam",
-    "add",
-    "concat_params",
-    "extend",
-    "mask",
-    "restrict",
-    "zero_support_subchain",
-    "BoxPiece",
-    "CorneredSpace",
-    "Face",
-    "Wall",
-    "box_space",
-    "circle_space",
-    "interval_space",
-    "point_space",
-    "Diffeo",
-    "StratifiedFamily",
-    "cube_family",
-    "shear_diffeo",
-    "stretch_diffeo",
-    "from_morse",
-    "load_family",
-    "save_family",
-    "validate_family",
-    "with_flipped_embedding",
-    "with_target_diffeo",
-    "CollarAtlas",
-    "build_collars",
-    "check_associativity",
-    "check_compat_concat",
-    "check_compat_one_pair",
-    "check_stratum_condition",
-    "glue",
-    "glue_differential",
-    "glue_pair",
-    "single_space_collars",
-    "MorseSystem",
-    "ModuliAnalysis",
-    "analyze",
-    "detect_broken",
-    "double_system",
-    "export_family",
-    "find_critical_points",
-    "find_trajectories",
-    "integrate_flow",
-    "numerical_glue",
-    "round_sphere",
-    "system_from_expression",
-    "tilted_torus",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

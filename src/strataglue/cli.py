@@ -11,7 +11,8 @@ Three subcommands:
   optionally export the result as a family file.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 input error,
-3 numerical abort (collar width underflow).
+3 numerical abort (collar width underflow or a non-converging
+inversion).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .collar import (
     check_differential,
     check_stratum_condition,
 )
-from .errors import EpsilonUnderflowError, InputError
+from .errors import InputError, NumericalError
 from .family import cube_family, load_family, save_family, validate_family
 from .poset import Chain, concat_chains
 
@@ -111,6 +112,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out) if args.out else Path(default_name)
     if out.is_dir():
         out = out / default_name
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_family(family, out)
     print(f"wrote {out}")
     return 0
@@ -284,7 +286,6 @@ def cmd_morse(args) -> int:
         "config": {
             "system": args.system,
             "resolution": args.resolution,
-            "seed": args.seed,
         },
         "critical_points": [
             {
@@ -408,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with a morse_system section",
     )
     mor.add_argument("--resolution", type=int, default=64)
-    mor.add_argument("--seed", type=int, default=0)
     mor.add_argument("--out", default=".")
     mor.add_argument("--export", default=None, help="also write the family file")
     mor.set_defaults(func=cmd_morse)
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EpsilonUnderflowError as exc:
+    except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:

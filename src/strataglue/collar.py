@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflowError, InputError, RangeError
 from .family import SlotEmbedding, StratifiedFamily, validate_family
+from .numerics import fd_jacobian, newton
 from .params import GlueParam, zero_support_subchain
 from .poset import Chain, concat_chains, is_subchain, pair_length
 
@@ -131,14 +132,13 @@ class CorrectedChart:
         lam2[self.slot] = lam[self.slot]
         return self.prev.forward(piece, x2, lam2)
 
-    def inverse(self, piece: int, coords, tol: float = 1e-12, max_iter: int = 60):
+    def inverse(self, piece: int, coords):
         coords = np.asarray(coords, dtype=float)
         box = self.family.space(*self.chain.pair).pieces[piece]
         patch = self.patches[piece]
         walls = [patch.wall(r) for r in self.chain.interior]
         pinned = {w.axis for w in walls}
         free = [a for a in range(box.dim) if a not in pinned]
-        k = self.chain.length
 
         def unpack(z):
             x = np.array(coords, dtype=float)
@@ -152,21 +152,7 @@ class CorrectedChart:
             return self.forward(piece, x, lam) - coords
 
         x0, lam0 = self.root.inverse(piece, coords)
-        z = np.concatenate([x0[free], lam0])
-        for _ in range(max_iter):
-            r = resid(z)
-            if np.max(np.abs(r)) < tol:
-                break
-            step = 1e-7
-            cols = []
-            for i in range(len(z)):
-                e = np.zeros(len(z))
-                e[i] = step
-                cols.append((resid(z + e) - resid(z - e)) / (2 * step))
-            jac = np.stack(cols, axis=1)
-            z = z - np.linalg.lstsq(jac, r, rcond=None)[0]
-        else:
-            raise InputError("chart inversion did not converge")
+        z = newton(resid, np.concatenate([x0[free], lam0]), 1e-12)
         x, lam = unpack(z)
         lam[np.abs(lam) <= SNAP_TOL] = 0.0
         return x, lam
@@ -343,17 +329,7 @@ def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
         return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
 
     z0 = np.concatenate([np.asarray(coords, float)[free], values])
-    cols = []
-    for i in range(len(z0)):
-        e = np.zeros(len(z0))
-        h = 1e-4
-        e[i] = h
-        # fourth-order central stencil
-        d = (
-            f(z0 - 2 * e) - 8 * f(z0 - e) + 8 * f(z0 + e) - f(z0 + 2 * e)
-        ) / (12 * h)
-        cols.append(d)
-    return np.stack(cols, axis=1)
+    return fd_jacobian(f, z0, 1e-4, order=4)
 
 
 def _glue_rows(atlas, chain, piece, X, V):
@@ -794,16 +770,10 @@ def check_differential(
             x[free] = z[: len(free)]
             return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
 
-        z0 = np.concatenate([coords[free], v])
-        h = 1e-6
-        for i in range(len(z0)):
-            e = np.zeros(len(z0))
-            e[i] = h
-            fd = (f(z0 + e) - f(z0 - e)) / (2 * h)
-            scale = max(1.0, float(np.linalg.norm(fd)))
-            worst = max(
-                worst, float(np.linalg.norm(jac[:, i] - fd)) / scale
-            )
+        fd = fd_jacobian(f, np.concatenate([coords[free], v]), 1e-6)
+        for jac_col, fd_col in zip(jac.T, fd.T):
+            scale = max(1.0, float(np.linalg.norm(fd_col)))
+            worst = max(worst, float(np.linalg.norm(jac_col - fd_col)) / scale)
     return worst
 
 

@@ -13,7 +13,12 @@ class UnsupportedDimensionError(InputError):
     """Moduli data of dimension >= 2 cannot be imported."""
 
 
-class EpsilonUnderflowError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical procedure failed: a collar width underflow or a
+    non-converging inversion."""
+
+
+class EpsilonUnderflowError(NumericalError):
     """Collar width shrank below the hard floor during construction."""
 
     def __init__(self, message, epsilon=None):

@@ -18,6 +18,7 @@ import json
 import numpy as np
 
 from .errors import InputError, UnsupportedDimensionError
+from .numerics import fd_jacobian, newton
 from .poset import Chain, CriticalPoint, CriticalPoset, concat_chains, enumerate_chains
 from .spaces import (
     BoxPiece,
@@ -95,24 +96,16 @@ class PairEmbedding:
     def inverse(self, point: Point) -> tuple[Point, Point]:
         raise NotImplementedError
 
-    def jacobian(self, left: Point, right: Point, step: float = 1e-6) -> np.ndarray:
+    def jacobian(self, left: Point, right: Point) -> np.ndarray:
         """Central finite-difference Jacobian in box coordinates."""
         lp, lc = left
         rp, rc = right
-        nl, nr = len(lc), len(rc)
+        nl = len(lc)
 
         def f(vec):
             return self.forward((lp, vec[:nl]), (rp, vec[nl:]))[1]
 
-        base = np.concatenate([lc, rc])
-        cols = []
-        for i in range(nl + nr):
-            e = np.zeros(nl + nr)
-            e[i] = step
-            cols.append((f(base + e) - f(base - e)) / (2 * step))
-        if not cols:
-            return np.zeros((len(self.forward(left, right)[1]), 0))
-        return np.stack(cols, axis=1)
+        return fd_jacobian(f, np.concatenate([lc, rc]), 1e-6)
 
 
 class SlotEmbedding(PairEmbedding):
@@ -214,26 +207,7 @@ class Diffeo:
         w = np.asarray(w, dtype=float)
         if self._inverse is not None:
             return self._inverse(w)
-        return self._newton_inverse(w)
-
-    def _newton_inverse(self, target, tol=1e-13, max_iter=60):
-        x = np.array(target, dtype=float)
-        for _ in range(max_iter):
-            r = self(x) - target
-            if np.max(np.abs(r)) < tol:
-                return x
-            jac = self._fd_jacobian(x)
-            x = x - np.linalg.solve(jac, r)
-        raise InputError("diffeo inversion did not converge")
-
-    def _fd_jacobian(self, x, step=1e-7):
-        n = len(x)
-        cols = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = step
-            cols.append((self(x + e) - self(x - e)) / (2 * step))
-        return np.stack(cols, axis=1)
+        return newton(lambda x: self(x) - w, w, 1e-13)
 
 
 def shear_diffeo(dim: int, strength: float = 0.2, axis: int = 0,
@@ -369,9 +343,6 @@ class StratifiedFamily:
                 return patch
         return None
 
-    def contains_in_stratum(self, chain: Chain, point) -> bool:
-        return self.classify(chain.pair, point) == chain
-
     # -- sampling ------------------------------------------------------
 
     def sample_patch(
@@ -399,23 +370,6 @@ class StratifiedFamily:
             for coords in self.sample_patch(chain, patch, per, rng, margin):
                 out.append((patch.piece, coords))
         return out[:count]
-
-    # -- factorization through an embedding ----------------------------
-
-    def factor(self, chain: Chain, junction: str, point: Point):
-        """Split a stratum point at one of its interior points.
-
-        Returns ((left chain, left point), (right chain, right point))
-        with the factors lying in the expected sub-strata.
-        """
-        if junction not in chain.interior:
-            raise InputError(f"{junction!r} is not interior to {chain}")
-        i = chain.points.index(junction)
-        left_chain = Chain(chain.points[: i + 1])
-        right_chain = Chain(chain.points[i:])
-        emb = self.embedding(chain.head, junction, chain.tail)
-        left, right = emb.inverse(point)
-        return (left_chain, left), (right_chain, right)
 
     def distance(self, pair, a: Point, b: Point) -> float:
         """Euclidean distance in the reference chart; +inf across pieces."""

@@ -32,6 +32,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
 from .family import ArcData, ArcEnd, PairModuli, StratifiedFamily, from_morse
+from .numerics import fd_jacobian
 from .poset import CriticalPoint
 
 TWO_PI = 2.0 * math.pi
@@ -81,13 +82,7 @@ class MorseSystem:
         u = np.asarray(u, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(u), dtype=float)
-        h = 1e-6
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[i] = (self._f(u + e) - self._f(u - e)) / (2 * h)
-        return out
+        return fd_jacobian(self._f, u, 1e-6)
 
     def rhs(self, u) -> np.ndarray:
         """Negative-gradient velocity field in chart coordinates."""
@@ -113,14 +108,8 @@ class MorseSystem:
             return v + (1.0 - np.dot(u, u)) * u
         return -self.rhs(u)
 
-    def hessian(self, u, h: float = 1e-5) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        cols = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            cols.append((self.grad(u + e) - self.grad(u - e)) / (2 * h))
-        mat = np.stack(cols, axis=1)
+    def hessian(self, u) -> np.ndarray:
+        mat = fd_jacobian(self.grad, u, 1e-5)
         return 0.5 * (mat + mat.T)
 
     # -- geometry ------------------------------------------------------
@@ -556,26 +545,14 @@ class Trajectory:
 def _unstable_frame(system: MorseSystem, crit: CriticalPointData) -> np.ndarray:
     """Orthonormal-ish basis of the unstable space of the flow at crit."""
     u = crit.location
-    h = 1e-6
-    cols = []
+    basis = _tangent_basis(u) if system.on_sphere else None
+    A = fd_jacobian(system.rhs, u, 1e-6, directions=basis)
     if system.on_sphere:
-        basis = _tangent_basis(u)
-        for i in range(2):
-            e = basis[:, i] * h
-            cols.append((system.rhs(u + e) - system.rhs(u - e)) / (2 * h))
-        A = basis.T @ np.stack(cols, axis=1)
-        w, v = np.linalg.eig(A)
-        keep = np.real(w) > 0
-        vecs = basis @ np.real(v[:, keep])
-    else:
-        for i in range(system.dim):
-            e = np.zeros(system.dim)
-            e[i] = h
-            cols.append((system.rhs(u + e) - system.rhs(u - e)) / (2 * h))
-        A = np.stack(cols, axis=1)
-        w, v = np.linalg.eig(A)
-        keep = np.real(w) > 0
-        vecs = np.real(v[:, keep])
+        A = basis.T @ A
+    w, v = np.linalg.eig(A)
+    vecs = np.real(v[:, np.real(w) > 0])
+    if system.on_sphere:
+        vecs = basis @ vecs
     if vecs.shape[1] != crit.index:
         raise InputError(
             f"unstable dimension {vecs.shape[1]} != index {crit.index} at {crit.id}"
@@ -1418,14 +1395,8 @@ def _trajectory_angle(system, analysis, pc, qc, traj) -> float:
     def rhs(t, z):
         u = z[:dim]
         V = z[dim:].reshape(dim, k)
-        h = 1e-6
-        cols = []
         base = system.rhs(u)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            cols.append((system.rhs(u + e) - system.rhs(u - e)) / (2 * h))
-        A = np.stack(cols, axis=1)
+        A = fd_jacobian(system.rhs, u, 1e-6)
         return np.concatenate([base, (A @ V).ravel()])
 
     # integrate in short legs, renormalizing the frame between them:

@@ -168,11 +168,6 @@ def is_chain(poset: CriticalPoset, seq: Sequence[str]) -> bool:
     return all(poset.precedes(a, b) for a, b in zip(ids, ids[1:]))
 
 
-def chain_length(chain: Chain) -> int:
-    """The length |I| = (number of points) - 2."""
-    return chain.length
-
-
 def is_subchain(sub: Chain, chain: Chain) -> bool:
     """True iff sub <= chain: same head, same tail, points a subset."""
     if sub.head != chain.head or sub.tail != chain.tail:

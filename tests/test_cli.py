@@ -1,4 +1,5 @@
-"""Command line interface: subcommands, reports, exit codes."""
+"""Entry points: the command line (subcommands, reports, exit codes) and
+the package's star-import surface."""
 
 import csv
 import json
@@ -6,7 +7,9 @@ import json
 import pytest
 
 from strataglue import cube_family, load_family, save_family, with_flipped_embedding
+from strataglue import cli
 from strataglue.cli import CSV_COLUMNS, main
+from strataglue.errors import NumericalError
 
 
 def test_generate_cube(tmp_path, capsys):
@@ -16,6 +19,12 @@ def test_generate_cube(tmp_path, capsys):
     family = load_family(out)
     assert family.pairs() == cube_family(3).pairs()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_generate_creates_missing_directory(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["generate", "cube", "2", "--out", str(out)]) == 0
+    assert load_family(out).pairs() == cube_family(2).pairs()
 
 
 def test_generate_cube_needs_size(tmp_path, capsys):
@@ -94,6 +103,24 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_verify_epsilon_underflow_exits_3(tmp_path, capsys):
+    code = main([
+        "verify", "--family", "cube2", "--epsilon-floor", "1.0",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert "numerical abort" in capsys.readouterr().err
+
+
+def test_non_converging_inversion_exits_3(tmp_path, capsys, monkeypatch):
+    def diverge(args):
+        raise NumericalError("Newton iteration did not converge")
+
+    monkeypatch.setattr(cli, "cmd_verify", diverge)
+    assert main(["verify", "--family", "cube2", "--out", str(tmp_path)]) == 3
+    assert "numerical abort" in capsys.readouterr().err
+
+
 def test_morse_well(tmp_path, capsys):
     code = main([
         "morse", "--system", "well", "--out", str(tmp_path),
@@ -101,6 +128,7 @@ def test_morse_well(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "morse_report.json").read_text())
     assert doc["schema_version"] == 1
+    assert doc["config"] == {"system": "well", "resolution": 64}
     assert len(doc["critical_points"]) == 1
     assert doc["critical_points"][0]["index"] == 0
 
@@ -145,3 +173,26 @@ def test_morse_rejects_bad_expression(tmp_path, capsys):
     path.write_text(json.dumps({"morse_system": {"f": "abs(x)", "dim": 1}}))
     assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_star_import_surface():
+    namespace = {}
+    exec("from strataglue import *", namespace)
+    assert set(namespace) - {"__builtins__"} == {
+        "add", "analyze", "box_space", "BoxPiece", "build_collars", "Chain",
+        "check_associativity", "check_compat_concat", "check_compat_one_pair",
+        "check_stratum_condition", "circle_space", "CollarAtlas", "concat_chains",
+        "concat_params", "CorneredSpace", "CriticalPoint", "CriticalPoset",
+        "cube_family", "detect_broken", "Diffeo", "double_system",
+        "enumerate_chains", "EpsilonUnderflowError", "export_family", "extend",
+        "Face", "find_critical_points", "find_trajectories", "from_morse", "glue",
+        "glue_differential", "glue_pair", "GlueParam", "InputError",
+        "integrate_flow", "interval_space", "is_chain", "is_subchain",
+        "load_family", "mask", "ModuliAnalysis", "MorseSystem", "numerical_glue",
+        "pair_length", "point_space", "RangeError", "restrict", "round_sphere",
+        "save_family", "shear_diffeo", "single_space_collars", "StratifiedFamily",
+        "stretch_diffeo", "system_from_expression", "tilted_torus",
+        "UnsupportedDimensionError", "validate_family", "Wall",
+        "with_flipped_embedding", "with_target_diffeo", "zero_support_subchain",
+        "__version__",
+    }

@@ -27,6 +27,7 @@ from strataglue.collar import (
     check_injectivity,
     check_single_space_compat,
 )
+from strataglue.numerics import fd_jacobian
 
 FULL = Chain(("p0", "p1", "p2", "p3"))
 
@@ -156,6 +157,31 @@ def test_differential_matches_finite_differences(cube3_atlas, rng):
     assert jac.shape == (2, 2)
     # affine route: the differential is a signed permutation
     assert np.allclose(np.abs(np.linalg.det(jac)), 1.0)
+
+
+def test_fd_jacobian_matches_polynomial_map():
+    def f(z):
+        x, y, t = z
+        return np.array([x**3 * y, x * y * t**2, y**2 - t])
+
+    z = np.array([0.7, -0.4, 1.3])
+    x, y, t = z
+    exact = np.array([
+        [3 * x**2 * y, x**3, 0.0],
+        [y * t**2, x * t**2, 2 * x * y * t],
+        [0.0, 2 * y, -1.0],
+    ])
+    assert np.allclose(fd_jacobian(f, z, 1e-6), exact, rtol=0, atol=1e-8)
+    # f is at most cubic along each axis, so the five-point stencil is
+    # exact up to rounding even at a step where order 2 is off by ~4e-7
+    assert np.allclose(fd_jacobian(f, z, 1e-3, order=4), exact, rtol=0, atol=1e-10)
+    directions = np.array([[1.0, 0.6], [0.0, -0.8], [0.5, 0.0]])
+    assert np.allclose(
+        fd_jacobian(f, z, 1e-6, directions=directions),
+        exact @ directions, rtol=0, atol=1e-8,
+    )
+    # a scalar map gives its gradient
+    assert np.allclose(fd_jacobian(lambda w: w @ w, z, 1e-6), 2 * z, rtol=0, atol=1e-8)
 
 
 # -- non-affine charts -------------------------------------------------

@@ -6,17 +6,20 @@ import pytest
 from strataglue import (
     Chain,
     CriticalPoint,
+    Diffeo,
     InputError,
     UnsupportedDimensionError,
     cube_family,
     from_morse,
     load_family,
     save_family,
+    shear_diffeo,
     stretch_diffeo,
     validate_family,
     with_flipped_embedding,
     with_target_diffeo,
 )
+from strataglue.errors import NumericalError
 from strataglue.family import ArcData, ArcEnd, PairModuli
 
 
@@ -76,6 +79,27 @@ def test_flip_needs_a_real_axis():
     with pytest.raises(InputError):
         # left factor of (p0, p1, p3) is zero-dimensional: no axis to flip
         with_flipped_embedding(cube_family(3), ("p0", "p1", "p3"))
+
+
+# -- diffeos -----------------------------------------------------------
+
+
+def test_shear_inverse_round_trip(rng):
+    # the shear has no closed-form inverse, so this runs the Newton path
+    d = shear_diffeo(3)
+    worst = max(
+        float(np.max(np.abs(d.inverse(d(w)) - w)))
+        for w in rng.uniform(0, 1, size=(32, 3))
+    )
+    assert worst < 1e-12
+
+
+def test_singular_diffeo_inversion_is_a_numerical_error():
+    # the Jacobian vanishes at the start point, so Newton never moves
+    d = Diffeo(lambda w: w**2 + 1, dim=1)
+    with pytest.raises(NumericalError, match="residual") as info:
+        d.inverse(np.array([0.0]))
+    assert not isinstance(info.value, InputError)
 
 
 # -- file format -------------------------------------------------------
