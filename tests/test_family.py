@@ -92,6 +92,9 @@ def test_shear_inverse_round_trip(rng):
         for w in rng.uniform(0, 1, size=(32, 3))
     )
     assert worst < 1e-12
+    # a point on a wall is fixed; its inverse must still be a new array
+    wall = np.array([0.0, 0.5, 0.5])
+    assert d.inverse(wall) is not wall
 
 
 def test_singular_diffeo_inversion_is_a_numerical_error():
