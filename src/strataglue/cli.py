@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from itertools import combinations
@@ -80,7 +81,10 @@ def _load_system(source: str):
     path = Path(source)
     if not path.exists():
         raise InputError(f"system source {source!r}: no such file or built-in")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: not valid JSON: {exc}") from exc
     section = doc.get("morse_system")
     if not isinstance(section, dict) or "f" not in section:
         raise InputError(f"{source}: no morse_system section with an f expression")
@@ -110,7 +114,8 @@ def cmd_generate(args) -> int:
         family = morse.export_family(morse.BUILTIN_SYSTEMS[args.what]())
         default_name = f"{args.what}.json"
     out = Path(args.out) if args.out else Path(default_name)
-    if out.is_dir():
+    # Path drops a trailing separator, which marks a directory to create
+    if out.is_dir() or (args.out or "").endswith(("/", os.sep)):
         out = out / default_name
     out.parent.mkdir(parents=True, exist_ok=True)
     save_family(family, out)

@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EpsilonUnderflowError, InputError, RangeError
-from .family import SlotEmbedding, StratifiedFamily, validate_family
+from .family import StratifiedFamily, validate_family
 from .numerics import fd_jacobian, newton
 from .params import GlueParam, zero_support_subchain
 from .poset import Chain, concat_chains, is_subchain, pair_length
@@ -135,15 +135,12 @@ class CorrectedChart:
     def inverse(self, piece: int, coords):
         coords = np.asarray(coords, dtype=float)
         box = self.family.space(*self.chain.pair).pieces[piece]
-        patch = self.patches[piece]
-        walls = [patch.wall(r) for r in self.chain.interior]
-        pinned = {w.axis for w in walls}
-        free = [a for a in range(box.dim) if a not in pinned]
+        free = _free_axes(box, self.patches[piece], self.chain)
+        # the root inverse pins the walls; Newton moves the free axes
+        x0, lam0 = self.root.inverse(piece, coords)
 
         def unpack(z):
-            x = np.array(coords, dtype=float)
-            for w in walls:
-                x[w.axis] = box.wall_value(w)
+            x = x0.copy()
             x[free] = z[: len(free)]
             return x, np.maximum(z[len(free) :], 0.0)
 
@@ -151,11 +148,16 @@ class CorrectedChart:
             x, lam = unpack(z)
             return self.forward(piece, x, lam) - coords
 
-        x0, lam0 = self.root.inverse(piece, coords)
         z = newton(resid, np.concatenate([x0[free], lam0]), 1e-12)
         x, lam = unpack(z)
         lam[np.abs(lam) <= SNAP_TOL] = 0.0
         return x, lam
+
+
+def _free_axes(box, patch, chain: Chain) -> list[int]:
+    """Box axes not pinned by the chain's walls in the patch."""
+    pinned = {patch.wall(r).axis for r in chain.interior}
+    return [a for a in range(box.dim) if a not in pinned]
 
 
 def initial_collar(family: StratifiedFamily, chain: Chain) -> AffineChart:
@@ -243,24 +245,40 @@ class CollarAtlas:
 # ---------------------------------------------------------------------
 
 
-def _glue_unchecked(atlas: CollarAtlas, chain: Chain, point, values):
-    piece, coords = point
-    values = np.asarray(values, dtype=float)
-    if chain.length == 0 or not values.size or not np.any(values):
-        return piece, np.array(coords, dtype=float)
+def _glue_rows(atlas, chain, piece, X, V):
+    """Unchecked G_I on stacked stratum points of one piece.
+
+    Row i of the result glues row i of ``X`` with collar values row i of
+    ``V``; rows whose values are all zero come back exactly.  The only
+    evaluation path of the gluing maps.
+    """
+    out = np.array(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    # count_nonzero rather than any(): on the one-row calls inside the
+    # Newton loops, any() costs about three times as much
+    if not np.count_nonzero(V):
+        return out
     route = atlas.route(chain, piece)
     chart = atlas.chart(route)
     if chart.is_affine:
         patch = chart.patches[piece]
-        out = np.array(coords, dtype=float)
         for j, r in enumerate(chain.interior):
             w = patch.wall(r)
-            out[w.axis] += w.inward_sign * values[j]
-        return piece, out
-    x, lam = chart.inverse(piece, coords)
-    for j, r in enumerate(chain.interior):
-        lam[route.interior.index(r)] += values[j]
-    return piece, chart.forward(piece, x, lam)
+            out[:, w.axis] += w.inward_sign * V[:, j]
+        return out
+    slots = [route.interior.index(r) for r in chain.interior]
+    for row, v in zip(out, V):
+        if np.count_nonzero(v):
+            x, lam = chart.inverse(piece, row)
+            lam[slots] += v
+            row[:] = chart.forward(piece, x, lam)
+    return out
+
+
+def _glue_unchecked(atlas: CollarAtlas, chain: Chain, point, values):
+    piece, coords = point
+    X = np.asarray(coords, dtype=float)[None]
+    return piece, _glue_rows(atlas, chain, piece, X, np.asarray(values)[None])[0]
 
 
 def glue(atlas: CollarAtlas, chain: Chain, point, values):
@@ -298,6 +316,24 @@ def glue_pair(atlas: CollarAtlas, triple, left, right, lam: float):
     return glue(atlas, chain, x, [lam])
 
 
+def _glue_map(atlas: CollarAtlas, chain: Chain, point):
+    """G_I near a point as a map of z = (free coordinates, collar values).
+
+    Returns (f, free): f(z) is the glued box point, and ``free`` lists
+    the box axes of the stratum that the first entries of z move.
+    """
+    piece, coords = point
+    box = atlas.family.space(*chain.pair).pieces[piece]
+    free = _free_axes(box, atlas.family.patch_for(chain, piece), chain)
+
+    def f(z):
+        x = np.array(coords, dtype=float)
+        x[free] = z[: len(free)]
+        return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
+
+    return f, free
+
+
 def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
     """Differential of G_I at (x, values) in box coordinates.
 
@@ -306,53 +342,18 @@ def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
     otherwise.
     """
     piece, coords = point
-    route = atlas.route(chain, piece)
-    chart = atlas.chart(route)
-    space = atlas.family.space(*chain.pair)
-    box = space.pieces[piece]
-    patch = atlas.family.patch_for(chain, piece)
-    pinned = {patch.wall(r).axis for r in chain.interior}
-    free = [a for a in range(box.dim) if a not in pinned]
-    k = chain.length
-    if chart.is_affine:
-        jac = np.zeros((box.dim, len(free) + k))
-        for col, a in enumerate(free):
-            jac[a, col] = 1.0
-        for j, r in enumerate(chain.interior):
-            w = patch.wall(r)
-            jac[w.axis, len(free) + j] = w.inward_sign
-        return jac
-
-    def f(z):
-        x = np.array(coords, dtype=float)
-        x[free] = z[: len(free)]
-        return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
-
+    affine = atlas.chart(atlas.route(chain, piece)).is_affine
+    f, free = _glue_map(atlas, chain, point)
     z0 = np.concatenate([np.asarray(coords, float)[free], values])
-    return fd_jacobian(f, z0, 1e-4, order=4)
-
-
-def _glue_rows(atlas, chain, piece, X, V):
-    """Vectorized unchecked gluing of stacked stratum points."""
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if chain.length == 0 or V.size == 0:
-        return np.array(X, dtype=float)
-    route = atlas.route(chain, piece)
-    chart = atlas.chart(route)
-    if chart.is_affine:
-        patch = chart.patches[piece]
-        out = np.array(X, dtype=float)
-        for j, r in enumerate(chain.interior):
-            w = patch.wall(r)
-            out[:, w.axis] += w.inward_sign * V[:, j]
-        return out
-    return np.stack(
-        [
-            _glue_unchecked(atlas, chain, (piece, x), v)[1]
-            for x, v in zip(X, V)
-        ]
-    )
+    if not affine:
+        return fd_jacobian(f, z0, 1e-4, order=4)
+    patch = atlas.family.patch_for(chain, piece)
+    jac = np.zeros((len(coords), len(z0)))
+    jac[free, np.arange(len(free))] = 1.0
+    for j, r in enumerate(chain.interior):
+        w = patch.wall(r)
+        jac[w.axis, len(free) + j] = w.inward_sign
+    return jac
 
 
 def _rows_distance(space, piece, A, B) -> np.ndarray:
@@ -360,19 +361,6 @@ def _rows_distance(space, piece, A, B) -> np.ndarray:
     if A.size == 0:
         return np.zeros(len(A))
     return np.linalg.norm((A - B) @ mat.T, axis=1)
-
-
-def _emb_rows(emb, left_piece, L, right_piece, R):
-    """Row-wise product embedding; returns (target piece, rows)."""
-    if isinstance(emb, SlotEmbedding) and emb.is_affine:
-        return 0, emb.forward_many(np.asarray(L, float), np.asarray(R, float))
-    rows = [
-        emb.forward((left_piece, l), (right_piece, r)) for l, r in zip(L, R)
-    ]
-    pieces = {p for p, _ in rows}
-    if len(pieces) != 1:
-        raise InputError("embedded batch spans several pieces")
-    return rows[0][0], np.stack([c for _, c in rows])
 
 
 # ---------------------------------------------------------------------
@@ -604,10 +592,10 @@ def check_compat_concat(
             X2 = family.sample_patch(second, patch_b, per, rng)
             V1 = rng.uniform(0.0, eps, size=(per, first.length))
             V2 = rng.uniform(0.0, eps, size=(per, second.length))
-            piece_t, T = _emb_rows(emb, patch_a.piece, X1, patch_b.piece, X2)
+            piece_t, T = emb.forward((patch_a.piece, X1), (patch_b.piece, X2))
             G1 = _glue_rows(atlas, first, patch_a.piece, X1, V1)
             G2 = _glue_rows(atlas, second, patch_b.piece, X2, V2)
-            _, R = _emb_rows(emb, patch_a.piece, G1, patch_b.piece, G2)
+            _, R = emb.forward((patch_a.piece, G1), (patch_b.piece, G2))
             VJ = np.concatenate(
                 [V1, np.zeros((per, 1)), V2], axis=1
             )
@@ -666,15 +654,15 @@ def check_associativity(
         G1 = np.tile(g1, (n, 1))
         G2 = np.tile(g2, (n, 1))
         G3 = np.tile(g3, (n, 1))
-        piece12, X12 = _emb_rows(e012, q1, G1, q2, G2)
+        piece12, X12 = e012.forward((q1, G1), (q2, G2))
         A = _glue_rows(atlas, c012, piece12, X12, l1)
-        piece_a, XA = _emb_rows(e023, piece12, A, q3, G3)
+        piece_a, XA = e023.forward((piece12, A), (q3, G3))
         lhs = _glue_rows(atlas, c023, piece_a, XA, l2)
-        piece23, X23 = _emb_rows(e123, q2, G2, q3, G3)
+        piece23, X23 = e123.forward((q2, G2), (q3, G3))
         B = _glue_rows(atlas, c123, piece23, X23, l2)
-        piece_b, XB = _emb_rows(e013, q1, G1, piece23, B)
+        piece_b, XB = e013.forward((q1, G1), (piece23, B))
         rhs = _glue_rows(atlas, c013, piece_b, XB, l1)
-        piece_f, XF = _emb_rows(e023, piece12, X12, q3, G3)
+        piece_f, XF = e023.forward((piece12, X12), (q3, G3))
         both = _glue_rows(
             atlas, full, piece_f, XF, np.concatenate([l1, l2], axis=1)
         )
@@ -760,16 +748,7 @@ def check_differential(
     for piece, coords in family.sample_stratum(chain, samples, rng):
         v = rng.uniform(0.1 * eps, 0.9 * eps, size=chain.length)
         jac = glue_differential(atlas, chain, (piece, coords), v)
-        box = family.space(*chain.pair).pieces[piece]
-        patch = family.patch_for(chain, piece)
-        pinned = {patch.wall(r).axis for r in chain.interior}
-        free = [a for a in range(box.dim) if a not in pinned]
-
-        def f(z):
-            x = np.array(coords, dtype=float)
-            x[free] = z[: len(free)]
-            return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
-
+        f, free = _glue_map(atlas, chain, (piece, coords))
         fd = fd_jacobian(f, np.concatenate([coords[free], v]), 1e-6)
         for jac_col, fd_col in zip(jac.T, fd.T):
             scale = max(1.0, float(np.linalg.norm(fd_col)))

@@ -84,11 +84,11 @@ class PairEmbedding:
     """Smooth embedding M(p,r)-bar x M(r,q)-bar -> M(p,q)-bar.
 
     Subclasses implement ``forward`` and ``inverse`` on (piece, coords)
-    points.  ``is_affine`` marks embeddings whose coordinate action is a
-    slot insertion, enabling exact vectorized paths downstream.
+    points.  ``forward`` also takes rows: coordinates sit on the last
+    axis, so a left and a right factor of stacked coordinates, (n, dl)
+    and (n, dr), on one piece each give (n, d) coordinates on one target
+    piece, row i equal bit for bit to the single-point image of row i.
     """
-
-    is_affine = False
 
     def forward(self, left: Point, right: Point) -> Point:
         raise NotImplementedError
@@ -116,8 +116,6 @@ class SlotEmbedding(PairEmbedding):
     and exists to exercise the validator.
     """
 
-    is_affine = True
-
     def __init__(self, left_dim: int, right_dim: int, flip_axes=()):
         self.left_dim = left_dim
         self.right_dim = right_dim
@@ -127,12 +125,6 @@ class SlotEmbedding(PairEmbedding):
                 f"flip axes {self.flip_axes} out of range for a "
                 f"{left_dim}-dimensional left factor"
             )
-        if self.flip_axes:
-            self.is_affine = False
-
-    @property
-    def junction_slot(self) -> int:
-        return self.left_dim
 
     def _flip(self, u: np.ndarray) -> np.ndarray:
         u = np.array(u, dtype=float)
@@ -143,16 +135,12 @@ class SlotEmbedding(PairEmbedding):
     def forward(self, left: Point, right: Point) -> Point:
         (_, u), (_, v) = left, right
         u = self._flip(u)
-        return 0, np.concatenate([u, [0.0], v])
-
-    def forward_many(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        U = self._flip(U)
-        zero = np.zeros((len(U), 1))
-        return np.concatenate([U, zero, V], axis=1)
+        zero = np.zeros(u.shape[:-1] + (1,))
+        return 0, np.concatenate([u, zero, v], axis=-1)
 
     def inverse(self, point: Point) -> tuple[Point, Point]:
         _, w = point
-        if abs(w[self.junction_slot]) > 1e-9:
+        if abs(w[self.left_dim]) > 1e-9:
             raise InputError("point is not on the junction face")
         u = self._flip(w[: self.left_dim])
         v = np.array(w[self.left_dim + 1 :], dtype=float)
@@ -166,8 +154,6 @@ class PointPairEmbedding(PairEmbedding):
     of the target space, given as (target piece, wall).
     """
 
-    is_affine = True
-
     def __init__(self, target: CorneredSpace, piece_map):
         self.target = target
         self.piece_map = dict(piece_map)  # (left piece, right piece) -> (piece, Wall)
@@ -180,7 +166,7 @@ class PointPairEmbedding(PairEmbedding):
         coords = np.array(
             [self.target.pieces[piece].wall_value(wall)], dtype=float
         ) if self.target.dim == 1 else np.zeros(self.target.dim)
-        return piece, coords
+        return piece, np.tile(coords, np.shape(left[1])[:-1] + (1,))
 
     def inverse(self, point: Point) -> tuple[Point, Point]:
         piece, coords = point
@@ -848,11 +834,13 @@ def save_family(family: StratifiedFamily, path) -> None:
 
 
 def load_family(path) -> StratifiedFamily:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise InputError(f"unsupported schema_version {doc.get('schema_version')}")
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("schema_version") != 1:
+            raise InputError(
+                f"unsupported schema_version {doc.get('schema_version')}"
+            )
         poset = CriticalPoset(
             [
                 CriticalPoint(entry["id"], entry.get("index"))
@@ -905,7 +893,9 @@ def load_family(path) -> StratifiedFamily:
                 )
             else:
                 raise InputError(f"unknown embedding type {entry['type']!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON, a space key without "|", a bad
+        # coordinate string, and the InputErrors raised above
         raise InputError(f"malformed family file {path}: {exc}") from exc
     return StratifiedFamily(
         poset, spaces, strata, embeddings, name=doc.get("name", "")

@@ -27,6 +27,12 @@ def test_generate_creates_missing_directory(tmp_path, capsys):
     assert load_family(out).pairs() == cube_family(2).pairs()
 
 
+def test_generate_out_with_trailing_separator_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "newdir"
+    assert main(["generate", "cube", "2", "--out", f"{out}/"]) == 0
+    assert load_family(out / "cube2.json").pairs() == cube_family(2).pairs()
+
+
 def test_generate_cube_needs_size(tmp_path, capsys):
     assert main(["generate", "cube", "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
@@ -103,6 +109,39 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def _cube2_doc(tmp_path):
+    path = tmp_path / "cube2.json"
+    save_family(cube_family(2), path)
+    return json.loads(path.read_text())
+
+
+def _space_key_without_bar(doc):
+    key = next(iter(doc["spaces"]))
+    doc["spaces"][key.replace("|", "")] = doc["spaces"].pop(key)
+    return json.dumps(doc)
+
+
+def _word_coordinate(doc):
+    piece = next(
+        ps for spec in doc["spaces"].values() for ps in spec["pieces"] if ps["lower"]
+    )
+    piece["lower"][0] = "one"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda doc: "{not json", _space_key_without_bar, _word_coordinate],
+    ids=["invalid-json", "space-key-without-bar", "word-coordinate"],
+)
+def test_verify_malformed_family_file_exits_2(tmp_path, capsys, spoil):
+    path = tmp_path / "bad.json"
+    path.write_text(spoil(_cube2_doc(tmp_path)))
+    code = main(["verify", "--family", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_verify_epsilon_underflow_exits_3(tmp_path, capsys):
     code = main([
         "verify", "--family", "cube2", "--epsilon-floor", "1.0",
@@ -171,6 +210,13 @@ def test_morse_unknown_system(tmp_path, capsys):
 def test_morse_rejects_bad_expression(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"morse_system": {"f": "abs(x)", "dim": 1}}))
+    assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"morse_system": ')
     assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
 

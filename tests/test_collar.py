@@ -23,6 +23,7 @@ from strataglue import (
     with_target_diffeo,
 )
 from strataglue.collar import (
+    _glue_rows,
     check_differential,
     check_injectivity,
     check_single_space_compat,
@@ -197,6 +198,23 @@ def stretched_atlas():
 
 def test_stretched_family_needs_corrected_charts(stretched_atlas):
     assert not stretched_atlas.is_affine_pair(("p0", "p3"))
+
+
+def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
+    family = stretched_atlas.family
+    # corrected routes through the full chain, and one affine pair
+    chains = [FULL, Chain(("p0", "p2", "p3")), Chain(("p0", "p1", "p2"))]
+    for chain in chains:
+        patch = family.stratum(chain).patches[0]
+        X = family.sample_patch(chain, patch, 5, rng)
+        V = rng.uniform(0.0, stretched_atlas.eps(chain), size=(5, chain.length))
+        V[0] = 0.0
+        V[1, -1] = 0.0
+        rows = _glue_rows(stretched_atlas, chain, patch.piece, X, V)
+        single = [glue(stretched_atlas, chain, (patch.piece, x), v) for x, v in zip(X, V)]
+        assert rows.tobytes() == np.stack([c for _, c in single]).tobytes()
+        # the all-zero row comes back exactly
+        assert rows[0].tobytes() == X[0].tobytes()
 
 
 def test_stretched_identities_still_hold(stretched_atlas, rng):

@@ -105,6 +105,42 @@ def test_singular_diffeo_inversion_is_a_numerical_error():
     assert not isinstance(info.value, InputError)
 
 
+# -- product embeddings on rows ----------------------------------------
+
+
+def _embedding_case(name):
+    cube = cube_family(4)
+    triple = ("p0", "p2", "p4")
+    if name == "slot":
+        return cube, triple
+    if name == "flipped-slot":
+        return with_flipped_embedding(cube, triple), triple
+    if name == "point-pair":
+        ends = (ArcEnd("r", 0, 0), None)
+        family = from_morse(tiny_points(), tiny_relations(), tiny_moduli(ends))
+        return family, ("p", "r", "q")
+    diffeo = stretch_diffeo(3) if name == "stretch" else shear_diffeo(3)
+    return with_target_diffeo(cube, ("p0", "p4"), diffeo), triple
+
+
+@pytest.mark.parametrize(
+    "name", ["slot", "flipped-slot", "point-pair", "stretch", "shear"]
+)
+def test_stacked_forward_matches_per_row(name, rng):
+    family, (p, r, q) = _embedding_case(name)
+    emb = family.embedding(p, r, q)
+    lc, rc = Chain((p, r)), Chain((r, q))
+    lpatch, rpatch = family.stratum(lc).patches[0], family.stratum(rc).patches[0]
+    L = family.sample_patch(lc, lpatch, 6, rng)
+    R = family.sample_patch(rc, rpatch, 6, rng)
+    piece, rows = emb.forward((lpatch.piece, L), (rpatch.piece, R))
+    single = [emb.forward((lpatch.piece, u), (rpatch.piece, v)) for u, v in zip(L, R)]
+    assert {pc for pc, _ in single} == {piece}
+    expect = np.stack([c for _, c in single])
+    assert rows.shape == expect.shape == (6, family.space(p, q).dim)
+    assert rows.tobytes() == expect.tobytes()
+
+
 # -- file format -------------------------------------------------------
 
 
