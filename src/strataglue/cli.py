@@ -85,6 +85,8 @@ def _load_system(source: str):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{source}: the top-level JSON value is not an object")
     section = doc.get("morse_system")
     if not isinstance(section, dict) or "f" not in section:
         raise InputError(f"{source}: no morse_system section with an f expression")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflowError, InputError, RangeError
 from .family import StratifiedFamily, validate_family
-from .numerics import fd_jacobian, newton
+from .numerics import fd_jacobian
 from .params import GlueParam, zero_support_subchain
 from .poset import Chain, concat_chains, is_subchain, pair_length
 
@@ -66,10 +66,6 @@ class AffineChart:
         self.patches = {
             p.piece: p for p in family.stratum(chain).patches
         }
-
-    @property
-    def root(self) -> "AffineChart":
-        return self
 
     def _walls(self, piece: int):
         patch = self.patches.get(piece)
@@ -105,27 +101,23 @@ class CorrectedChart:
     slot, to agree with the two-sided gluing through the junction's
     product embedding; off the slice the same correction is applied,
     which keeps the map smooth and earlier junction identities intact.
+    Every map it is built from is exactly invertible, and so is it.
     """
 
     is_affine = False
 
-    def __init__(self, prev, slot: int, rhs):
+    def __init__(self, prev, junction: "_Junction"):
         self.prev = prev
-        self.slot = slot
-        self.rhs = rhs
-        self.family = prev.family
+        self.junction = junction
+        self.slot = junction.slot
         self.chain = prev.chain
         self.patches = prev.patches
-
-    @property
-    def root(self) -> AffineChart:
-        return self.prev.root
 
     def forward(self, piece: int, x, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         sliced = lam.copy()
         sliced[self.slot] = 0.0
-        rhs_piece, rhs_coords = self.rhs(piece, np.asarray(x, float), sliced)
+        rhs_piece, rhs_coords = self.junction.glue(piece, np.asarray(x, float), sliced)
         if rhs_piece != piece:
             raise InputError("junction correction changed the piece")
         x2, lam2 = self.prev.inverse(piece, rhs_coords)
@@ -133,31 +125,15 @@ class CorrectedChart:
         return self.prev.forward(piece, x2, lam2)
 
     def inverse(self, piece: int, coords):
-        coords = np.asarray(coords, dtype=float)
-        box = self.family.space(*self.chain.pair).pieces[piece]
-        free = _free_axes(box, self.patches[piece], self.chain)
-        # the root inverse pins the walls; Newton moves the free axes
-        x0, lam0 = self.root.inverse(piece, coords)
-
-        def unpack(z):
-            x = x0.copy()
-            x[free] = z[: len(free)]
-            return x, np.maximum(z[len(free) :], 0.0)
-
-        def resid(z):
-            x, lam = unpack(z)
-            return self.forward(piece, x, lam) - coords
-
-        z = newton(resid, np.concatenate([x0[free], lam0]), 1e-12)
-        x, lam = unpack(z)
-        lam[np.abs(lam) <= SNAP_TOL] = 0.0
-        return x, lam
-
-
-def _free_axes(box, patch, chain: Chain) -> list[int]:
-    """Box axes not pinned by the chain's walls in the patch."""
-    pinned = {patch.wall(r).axis for r in chain.interior}
-    return [a for a in range(box.dim) if a not in pinned]
+        # undo the last step of forward, then split the junction-face
+        # point it started from
+        x2, lam2 = self.prev.inverse(piece, np.asarray(coords, dtype=float))
+        s = lam2[self.slot]
+        lam2[self.slot] = 0.0
+        x, v_left, v_right = self.junction.split(
+            piece, self.prev.forward(piece, x2, lam2)
+        )
+        return x, np.concatenate([v_left, [s], v_right])
 
 
 def initial_collar(family: StratifiedFamily, chain: Chain) -> AffineChart:
@@ -255,7 +231,7 @@ def _glue_rows(atlas, chain, piece, X, V):
     out = np.array(X, dtype=float)
     V = np.asarray(V, dtype=float)
     # count_nonzero rather than any(): on the one-row calls inside the
-    # Newton loops, any() costs about three times as much
+    # corrected charts, any() costs about three times as much
     if not np.count_nonzero(V):
         return out
     route = atlas.route(chain, piece)
@@ -273,6 +249,26 @@ def _glue_rows(atlas, chain, piece, X, V):
             lam[slots] += v
             row[:] = chart.forward(piece, x, lam)
     return out
+
+
+def _unglue(atlas: CollarAtlas, chain: Chain, point):
+    """Inverse of G_I on its image: (stratum point, collar values).
+
+    Inverts through the route chart that ``_glue_rows`` evaluates with;
+    a point whose values are all zero comes back exactly.
+    """
+    piece, coords = point
+    if not chain.length:
+        return point, np.zeros(0)
+    route = atlas.route(chain, piece)
+    chart = atlas.chart(route)
+    slots = [route.interior.index(r) for r in chain.interior]
+    x, lam = chart.inverse(piece, coords)
+    values = lam[slots]
+    if not np.count_nonzero(values):
+        return point, values
+    lam[slots] = 0.0
+    return (piece, chart.forward(piece, x, lam)), values
 
 
 def _glue_unchecked(atlas: CollarAtlas, chain: Chain, point, values):
@@ -323,8 +319,9 @@ def _glue_map(atlas: CollarAtlas, chain: Chain, point):
     the box axes of the stratum that the first entries of z move.
     """
     piece, coords = point
-    box = atlas.family.space(*chain.pair).pieces[piece]
-    free = _free_axes(box, atlas.family.patch_for(chain, piece), chain)
+    patch = atlas.family.patch_for(chain, piece)
+    pinned = {patch.wall(r).axis for r in chain.interior}
+    free = [a for a in range(len(coords)) if a not in pinned]
 
     def f(z):
         x = np.array(coords, dtype=float)
@@ -368,39 +365,46 @@ def _rows_distance(space, piece, A, B) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-def _junction_rhs(atlas: CollarAtlas, chain: Chain, slot: int):
-    """The two-sided gluing through the junction at one interior slot."""
-    family = atlas.family
-    junction = chain.points[slot + 1]
-    left_chain = Chain(chain.points[: slot + 2])
-    right_chain = Chain(chain.points[slot + 1 :])
-    emb = family.embedding(chain.head, junction, chain.tail)
+class _Junction:
+    """The two-sided gluing through the junction at one interior slot:
+    split by the junction's product embedding, glue each side along its
+    sub-chain, embed again."""
 
-    def rhs(piece, x, lam):
-        left, right = emb.inverse((piece, x))
-        if left_chain.length:
-            left = _glue_unchecked(atlas, left_chain, left, lam[:slot])
-        if right_chain.length:
-            right = _glue_unchecked(
-                atlas, right_chain, right, lam[slot + 1 :]
-            )
-        return emb.forward(left, right)
+    def __init__(self, atlas: CollarAtlas, chain: Chain, slot: int):
+        self.atlas = atlas
+        self.slot = slot
+        self.emb = atlas.family.embedding(
+            chain.head, chain.points[slot + 1], chain.tail
+        )
+        self.left = Chain(chain.points[: slot + 2])
+        self.right = Chain(chain.points[slot + 1 :])
 
-    return rhs
+    def glue(self, piece, x, lam):
+        left, right = self.emb.inverse((piece, x))
+        left = _glue_unchecked(self.atlas, self.left, left, lam[: self.slot])
+        right = _glue_unchecked(self.atlas, self.right, right, lam[self.slot + 1 :])
+        return self.emb.forward(left, right)
+
+    def split(self, piece, w):
+        """Inverse of ``glue`` on its image: (x, left values, right values)."""
+        left, right = self.emb.inverse((piece, w))
+        left, v_left = _unglue(self.atlas, self.left, left)
+        right, v_right = _unglue(self.atlas, self.right, right)
+        return self.emb.forward(left, right)[1], v_left, v_right
 
 
-def _junction_residual(atlas, chart, slot, eps, samples, rng) -> float:
+def _junction_residual(atlas, chart, junction, eps, samples, rng) -> float:
     family = atlas.family
     chain = chart.chain
+    slot = junction.slot
     space = family.space(*chain.pair)
-    rhs = _junction_rhs(atlas, chain, slot)
     worst = 0.0
     points = family.sample_stratum(chain, samples, rng)
     for piece, coords in points:
         lam = rng.uniform(0.0, eps, size=chain.length)
         lam[slot] = 0.0
         lhs = chart.forward(piece, coords, lam)
-        rpiece, rcoords = rhs(piece, coords, lam)
+        rpiece, rcoords = junction.glue(piece, coords, lam)
         if rpiece != piece:
             return np.inf
         worst = max(
@@ -427,15 +431,14 @@ def normalize_junctions(
     """
     rng = np.random.default_rng(rng)
     for slot in range(chart.chain.length):
+        junction = _Junction(atlas, chart.chain, slot)
         corrected = False
         while True:
-            res = _junction_residual(atlas, chart, slot, eps, samples, rng)
+            res = _junction_residual(atlas, chart, junction, eps, samples, rng)
             if res <= tol:
                 break
             if not corrected:
-                chart = CorrectedChart(
-                    chart, slot, _junction_rhs(atlas, chart.chain, slot)
-                )
+                chart = CorrectedChart(chart, junction)
                 corrected = True
                 continue
             eps /= 2

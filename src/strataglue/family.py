@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import InputError, UnsupportedDimensionError
-from .numerics import fd_jacobian, newton
+from .numerics import fd_jacobian
 from .poset import Chain, CriticalPoint, CriticalPoset, concat_chains, enumerate_chains
 from .spaces import (
     BoxPiece,
@@ -181,28 +181,41 @@ class PointPairEmbedding(PairEmbedding):
 class Diffeo:
     """A diffeomorphism of a box given by a forward map and its inverse."""
 
-    def __init__(self, forward, inverse=None, dim=None):
+    def __init__(self, forward, inverse):
         self._forward = forward
         self._inverse = inverse
-        self.dim = dim
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return self._forward(np.asarray(w, dtype=float))
 
     def inverse(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if self._inverse is not None:
-            return self._inverse(w)
-        return newton(lambda x: self(x) - w, w, 1e-13)
+        return self._inverse(np.asarray(w, dtype=float))
+
+
+def _bump_root(y, c):
+    """The root t in [0, 1] of t + c*t*(1-t) = y, for |c| < 1 and y in
+    [0, 1], in the form that loses no digits as c goes to 0."""
+    return 2 * y / ((1 + c) + np.sqrt((1 + c) ** 2 - 4 * c * y))
 
 
 def shear_diffeo(dim: int, strength: float = 0.2, axis: int = 0,
                  driver: int | None = None) -> Diffeo:
     """A wall-preserving shear of [0,1]^dim: moves ``axis`` by an amount
-    vanishing on all coordinate walls of that axis."""
+    vanishing on all coordinate walls of that axis.
+
+    The moved coordinate is t + c*t*(1-t) with c = strength times the
+    ``driver`` coordinate, which the shear leaves alone; the inverse is
+    the closed-form root of that quadratic.
+    """
     if dim < 2:
         raise InputError("shear needs dimension >= 2")
     b = driver if driver is not None else (axis + 1) % dim
+    if not (0 <= axis < dim and 0 <= b < dim):
+        raise InputError(f"shear axes ({axis}, {b}) out of range for dimension {dim}")
+    if b == axis:
+        raise InputError("shear driver must differ from the sheared axis")
+    if not abs(strength) < 1:
+        raise InputError("shear strength must lie in (-1, 1)")
 
     def fwd(w):
         out = np.array(w, dtype=float)
@@ -211,7 +224,12 @@ def shear_diffeo(dim: int, strength: float = 0.2, axis: int = 0,
         ) * w[..., b]
         return out
 
-    return Diffeo(fwd, dim=dim)
+    def inv(y):
+        out = np.array(y, dtype=float)
+        out[..., axis] = _bump_root(y[..., axis], strength * y[..., b])
+        return out
+
+    return Diffeo(fwd, inv)
 
 
 def stretch_diffeo(dim: int, strength: float = 0.3) -> Diffeo:
@@ -230,11 +248,7 @@ def stretch_diffeo(dim: int, strength: float = 0.3) -> Diffeo:
         w = np.asarray(w, dtype=float)
         return w + s * w * (1.0 - w)
 
-    def inv(y):
-        y = np.asarray(y, dtype=float)
-        return ((1 + s) - np.sqrt((1 + s) ** 2 - 4 * s * y)) / (2 * s)
-
-    return Diffeo(fwd, inverse=inv, dim=dim)
+    return Diffeo(fwd, lambda y: _bump_root(y, s))
 
 
 class ComposedEmbedding(PairEmbedding):
@@ -837,6 +851,8 @@ def load_family(path) -> StratifiedFamily:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InputError("the top-level JSON value is not an object")
         if doc.get("schema_version") != 1:
             raise InputError(
                 f"unsupported schema_version {doc.get('schema_version')}"

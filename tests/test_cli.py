@@ -131,8 +131,13 @@ def _word_coordinate(doc):
 
 @pytest.mark.parametrize(
     "spoil",
-    [lambda doc: "{not json", _space_key_without_bar, _word_coordinate],
-    ids=["invalid-json", "space-key-without-bar", "word-coordinate"],
+    [
+        lambda doc: "{not json",
+        _space_key_without_bar,
+        _word_coordinate,
+        lambda doc: "[1, 2]",
+    ],
+    ids=["invalid-json", "space-key-without-bar", "word-coordinate", "not-an-object"],
 )
 def test_verify_malformed_family_file_exits_2(tmp_path, capsys, spoil):
     path = tmp_path / "bad.json"
@@ -214,9 +219,12 @@ def test_morse_rejects_bad_expression(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text", ['{"morse_system": ', "[1, 2]"], ids=["invalid-json", "not-an-object"]
+)
+def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text('{"morse_system": ')
+    path.write_text(text)
     assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
 

@@ -23,10 +23,13 @@ from strataglue import (
     with_target_diffeo,
 )
 from strataglue.collar import (
+    SNAP_TOL,
     _glue_rows,
+    _unglue,
     check_differential,
     check_injectivity,
     check_single_space_compat,
+    initial_collar,
 )
 from strataglue.numerics import fd_jacobian
 
@@ -215,6 +218,88 @@ def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
         assert rows.tobytes() == np.stack([c for _, c in single]).tobytes()
         # the all-zero row comes back exactly
         assert rows[0].tobytes() == X[0].tobytes()
+
+
+def test_unglue_inverts_glue(stretched_atlas, rng):
+    family = stretched_atlas.family
+    for chain in [FULL, Chain(("p0", "p2", "p3")), Chain(("p0", "p1", "p2"))]:
+        patch = family.stratum(chain).patches[0]
+        X = family.sample_patch(chain, patch, 4, rng)
+        V = rng.uniform(0.0, stretched_atlas.eps(chain), size=(4, chain.length))
+        V[0] = 0.0
+        V[1, 0] = 0.0
+        for x, v in zip(X, V):
+            glued = glue(stretched_atlas, chain, (patch.piece, x), v)
+            (piece, x2), v2 = _unglue(stretched_atlas, chain, glued)
+            assert piece == patch.piece
+            assert np.max(np.abs(x2 - x)) < 1e-12
+            assert np.max(np.abs(v2 - v)) < 1e-12
+        # a stratum point unglues to itself, exactly
+        (_, x0), v0 = _unglue(stretched_atlas, chain, (patch.piece, X[0]))
+        assert x0.tobytes() == X[0].tobytes()
+        assert not np.count_nonzero(v0)
+
+
+def _newton_inverse(family, chart, piece, coords):
+    """Reference inverse of a corrected chart: an undamped Newton solve
+    of chart.forward(x, lam) = coords over the free axes of x and lam,
+    starting from the affine chart's inverse, which pins the walls."""
+    patch = chart.patches[piece]
+    pinned = {patch.wall(r).axis for r in chart.chain.interior}
+    free = [a for a in range(len(coords)) if a not in pinned]
+    x0, lam0 = initial_collar(family, chart.chain).inverse(piece, coords)
+
+    def unpack(z):
+        x = x0.copy()
+        x[free] = z[: len(free)]
+        return x, np.maximum(z[len(free) :], 0.0)
+
+    def resid(z):
+        return chart.forward(piece, *unpack(z)) - coords
+
+    z = np.concatenate([x0[free], lam0])
+    for _ in range(60):
+        r = resid(z)
+        if np.max(np.abs(r)) < 1e-12:
+            break
+        z = z - np.linalg.lstsq(fd_jacobian(resid, z, 1e-7), r, rcond=None)[0]
+    else:
+        raise AssertionError("reference Newton solve did not converge")
+    x, lam = unpack(z)
+    lam[np.abs(lam) <= SNAP_TOL] = 0.0
+    return x, lam
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_corrected_inverse_matches_newton(size):
+    family = with_target_diffeo(
+        cube_family(size), ("p0", f"p{size}"), stretch_diffeo(size - 1)
+    )
+    atlas = build_collars(family, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(7)
+    corrected = [c for c in atlas.charts.values() if not c.is_affine]
+    assert corrected
+    for chart in corrected:
+        eps = atlas.eps(chart.chain)
+        n = chart.chain.length
+        # all positive, the corrected slot zero, one other slot zero, all zero
+        zeros = [[], [chart.slot], [(chart.slot + 1) % n], list(range(n))]
+        for patch in family.stratum(chart.chain).patches:
+            X = family.sample_patch(chart.chain, patch, len(zeros), rng)
+            for x, zero in zip(X, zeros):
+                lam = rng.uniform(0.05 * eps, 0.95 * eps, size=n)
+                lam[zero] = 0.0
+                y = chart.forward(patch.piece, x, lam)
+                x2, lam2 = chart.inverse(patch.piece, y)
+                xn, lamn = _newton_inverse(family, chart, patch.piece, y)
+                assert np.max(np.abs(x2 - xn)) < 1e-12
+                assert np.max(np.abs(lam2 - lamn)) < 1e-12
+                # both round trips, and exact zeros stay exact
+                assert np.max(np.abs(x2 - x)) < 1e-12
+                assert np.max(np.abs(lam2 - lam)) < 1e-12
+                assert np.all(lam2[zero] == 0.0)
+                back = chart.forward(patch.piece, x2, lam2)
+                assert np.max(np.abs(back - y)) < 1e-12
 
 
 def test_stretched_identities_still_hold(stretched_atlas, rng):

@@ -6,7 +6,6 @@ import pytest
 from strataglue import (
     Chain,
     CriticalPoint,
-    Diffeo,
     InputError,
     UnsupportedDimensionError,
     cube_family,
@@ -19,7 +18,6 @@ from strataglue import (
     with_flipped_embedding,
     with_target_diffeo,
 )
-from strataglue.errors import NumericalError
 from strataglue.family import ArcData, ArcEnd, PairModuli
 
 
@@ -84,25 +82,36 @@ def test_flip_needs_a_real_axis():
 # -- diffeos -----------------------------------------------------------
 
 
-def test_shear_inverse_round_trip(rng):
-    # the shear has no closed-form inverse, so this runs the Newton path
-    d = shear_diffeo(3)
-    worst = max(
-        float(np.max(np.abs(d.inverse(d(w)) - w)))
-        for w in rng.uniform(0, 1, size=(32, 3))
-    )
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"strength": -0.9}, {"strength": 0.7, "axis": 2, "driver": 0}]
+)
+def test_shear_inverse_round_trip(rng, kwargs):
+    # the closed-form root, against the forward map
+    d = shear_diffeo(3, **kwargs)
+    W = rng.uniform(0, 1, size=(32, 3))
+    worst = max(float(np.max(np.abs(d.inverse(d(w)) - w))) for w in W)
     assert worst < 1e-12
+    # rows at once give the same points
+    assert np.max(np.abs(d.inverse(d(W)) - W)) < 1e-12
     # a point on a wall is fixed; its inverse must still be a new array
     wall = np.array([0.0, 0.5, 0.5])
     assert d.inverse(wall) is not wall
 
 
-def test_singular_diffeo_inversion_is_a_numerical_error():
-    # the Jacobian vanishes at the start point, so Newton never moves
-    d = Diffeo(lambda w: w**2 + 1, dim=1)
-    with pytest.raises(NumericalError, match="residual") as info:
-        d.inverse(np.array([0.0]))
-    assert not isinstance(info.value, InputError)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"strength": 1.0},
+        {"strength": -1.5},
+        {"axis": 1, "driver": 1},
+        {"axis": 3},
+        {"axis": -1},
+        {"driver": 3},
+    ],
+)
+def test_shear_rejects_a_non_injective_or_ill_posed_shear(kwargs):
+    with pytest.raises(InputError):
+        shear_diffeo(3, **kwargs)
 
 
 # -- product embeddings on rows ----------------------------------------
