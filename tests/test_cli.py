@@ -158,7 +158,7 @@ def test_verify_epsilon_underflow_exits_3(tmp_path, capsys):
 
 def test_non_converging_inversion_exits_3(tmp_path, capsys, monkeypatch):
     def diverge(args):
-        raise NumericalError("Newton iteration did not converge")
+        raise NumericalError("a numerical failure")
 
     monkeypatch.setattr(cli, "cmd_verify", diverge)
     assert main(["verify", "--family", "cube2", "--out", str(tmp_path)]) == 3

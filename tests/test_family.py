@@ -83,10 +83,11 @@ def test_flip_needs_a_real_axis():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{}, {"strength": -0.9}, {"strength": 0.7, "axis": 2, "driver": 0}]
+    "kwargs",
+    [{}, {"strength": -0.9}, {"strength": 0.7, "axis": 2, "driver": 0}],
+    ids=["default", "negative-strength", "axis-2-driver-0"],
 )
 def test_shear_inverse_round_trip(rng, kwargs):
-    # the closed-form root, against the forward map
     d = shear_diffeo(3, **kwargs)
     W = rng.uniform(0, 1, size=(32, 3))
     worst = max(float(np.max(np.abs(d.inverse(d(w)) - w))) for w in W)
@@ -108,6 +109,8 @@ def test_shear_inverse_round_trip(rng, kwargs):
         {"axis": -1},
         {"driver": 3},
     ],
+    ids=["strength-1", "strength-minus-1.5", "driver-is-axis", "axis-3", "axis-minus-1",
+         "driver-3"],
 )
 def test_shear_rejects_a_non_injective_or_ill_posed_shear(kwargs):
     with pytest.raises(InputError):
