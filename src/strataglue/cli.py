@@ -138,6 +138,10 @@ def _proper_subchains(outer: Chain):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if not 0 <= args.tol < np.inf:
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
     family = _load_family(args.family)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -284,6 +288,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_morse(args) -> int:
+    if args.resolution < 1:
+        raise InputError(f"--resolution must be at least 1, got {args.resolution}")
     system = _load_system(args.system)
     analysis = morse.analyze(system, resolution=args.resolution)
     rows = []

@@ -55,7 +55,9 @@ class AffineChart:
 
     ``forward(piece, x, lam)`` moves the stratum point ``x`` off each
     pinned wall by the matching collar coordinate, along the inward
-    axis.  Exact, and its own inverse is exact.
+    axis.  Exact, and its own inverse is exact.  Like every chart it
+    takes rows: coordinates and collar values on the last axis, row i of
+    the result equal bit for bit to the one-point result for row i.
     """
 
     is_affine = True
@@ -77,21 +79,21 @@ class AffineChart:
 
     def forward(self, piece: int, x, lam) -> np.ndarray:
         out = np.array(x, dtype=float)
-        for w, v in zip(self._walls(piece), lam):
-            out[w.axis] += w.inward_sign * v
+        lam = np.asarray(lam, dtype=float)
+        for j, w in enumerate(self._walls(piece)):
+            out[..., w.axis] += w.inward_sign * lam[..., j]
         return out
 
     def inverse(self, piece: int, coords):
         box = self.family.space(*self.chain.pair).pieces[piece]
         x = np.array(coords, dtype=float)
-        lam = np.zeros(self.chain.length)
+        lam = np.empty(x.shape[:-1] + (self.chain.length,))
         for j, w in enumerate(self._walls(piece)):
-            off = float(box.wall_offset(coords, w))
-            if off < -SNAP_TOL:
-                raise InputError(f"point lies outside wall {w}")
-            lam[j] = 0.0 if abs(off) <= SNAP_TOL else off
-            x[w.axis] = box.wall_value(w)
-        return x, lam
+            lam[..., j] = box.wall_offset(x, w)
+            x[..., w.axis] = box.wall_value(w)
+        if (lam < -SNAP_TOL).any():
+            raise InputError(f"point lies outside a wall of {self.chain}")
+        return x, np.where(np.abs(lam) <= SNAP_TOL, 0.0, lam)
 
 
 class CorrectedChart:
@@ -116,31 +118,24 @@ class CorrectedChart:
     def forward(self, piece: int, x, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         sliced = lam.copy()
-        sliced[self.slot] = 0.0
+        sliced[..., self.slot] = 0.0
         rhs_piece, rhs_coords = self.junction.glue(piece, np.asarray(x, float), sliced)
         if rhs_piece != piece:
             raise InputError("junction correction changed the piece")
         x2, lam2 = self.prev.inverse(piece, rhs_coords)
-        lam2[self.slot] = lam[self.slot]
+        lam2[..., self.slot] = lam[..., self.slot]
         return self.prev.forward(piece, x2, lam2)
 
     def inverse(self, piece: int, coords):
         # undo the last step of forward, then split the junction-face
         # point it started from
         x2, lam2 = self.prev.inverse(piece, np.asarray(coords, dtype=float))
-        s = lam2[self.slot]
-        lam2[self.slot] = 0.0
+        s = lam2[..., self.slot : self.slot + 1].copy()
+        lam2[..., self.slot] = 0.0
         x, v_left, v_right = self.junction.split(
             piece, self.prev.forward(piece, x2, lam2)
         )
-        return x, np.concatenate([v_left, [s], v_right])
-
-
-def initial_collar(family: StratifiedFamily, chain: Chain) -> AffineChart:
-    """The affine inward collar chart of one chain's stratum."""
-    if chain not in family.strata:
-        raise InputError(f"family has no stratum for {chain}")
-    return AffineChart(family, chain)
+        return x, np.concatenate([v_left, s, v_right], axis=-1)
 
 
 # ---------------------------------------------------------------------
@@ -222,32 +217,27 @@ class CollarAtlas:
 
 
 def _glue_rows(atlas, chain, piece, X, V):
-    """Unchecked G_I on stacked stratum points of one piece.
+    """Unchecked G_I on stratum points of one piece, coordinates on the
+    last axis of ``X`` and collar values on the last axis of ``V``.
 
-    Row i of the result glues row i of ``X`` with collar values row i of
-    ``V``; rows whose values are all zero come back exactly.  The only
-    evaluation path of the gluing maps.
+    Rows whose values are all zero come back exactly; the others go
+    through the route chart: invert, add the values to the chain's
+    slots, evaluate.  The only evaluation path of the gluing maps.
     """
     out = np.array(X, dtype=float)
     V = np.asarray(V, dtype=float)
-    # count_nonzero rather than any(): on the one-row calls inside the
-    # corrected charts, any() costs about three times as much
+    # count_nonzero: the cheapest test, for the many calls with no values
     if not np.count_nonzero(V):
         return out
+    hit = V.any(axis=-1)
+    # most calls have values on every row: a view spares three row copies
+    rows = Ellipsis if hit.all() else hit
     route = atlas.route(chain, piece)
     chart = atlas.chart(route)
-    if chart.is_affine:
-        patch = chart.patches[piece]
-        for j, r in enumerate(chain.interior):
-            w = patch.wall(r)
-            out[:, w.axis] += w.inward_sign * V[:, j]
-        return out
     slots = [route.interior.index(r) for r in chain.interior]
-    for row, v in zip(out, V):
-        if np.count_nonzero(v):
-            x, lam = chart.inverse(piece, row)
-            lam[slots] += v
-            row[:] = chart.forward(piece, x, lam)
+    x, lam = chart.inverse(piece, out[rows])
+    lam[..., slots] += V[rows]
+    out[rows] = chart.forward(piece, x, lam)
     return out
 
 
@@ -255,26 +245,22 @@ def _unglue(atlas: CollarAtlas, chain: Chain, point):
     """Inverse of G_I on its image: (stratum point, collar values).
 
     Inverts through the route chart that ``_glue_rows`` evaluates with;
-    a point whose values are all zero comes back exactly.
+    rows whose values are all zero come back exactly.
     """
     piece, coords = point
+    out = np.array(coords, dtype=float)
     if not chain.length:
-        return point, np.zeros(0)
+        return (piece, out), np.zeros(out.shape[:-1] + (0,))
     route = atlas.route(chain, piece)
     chart = atlas.chart(route)
     slots = [route.interior.index(r) for r in chain.interior]
-    x, lam = chart.inverse(piece, coords)
-    values = lam[slots]
-    if not np.count_nonzero(values):
-        return point, values
-    lam[slots] = 0.0
-    return (piece, chart.forward(piece, x, lam)), values
-
-
-def _glue_unchecked(atlas: CollarAtlas, chain: Chain, point, values):
-    piece, coords = point
-    X = np.asarray(coords, dtype=float)[None]
-    return piece, _glue_rows(atlas, chain, piece, X, np.asarray(values)[None])[0]
+    x, lam = chart.inverse(piece, out)
+    values = lam[..., slots]
+    if np.count_nonzero(values):
+        hit = values.any(axis=-1)
+        lam[..., slots] = 0.0
+        out[hit] = chart.forward(piece, x[hit], lam[hit])
+    return (piece, out), values
 
 
 def glue(atlas: CollarAtlas, chain: Chain, point, values):
@@ -297,7 +283,7 @@ def glue(atlas: CollarAtlas, chain: Chain, point, values):
     got = atlas.family.classify(chain.pair, point)
     if got != chain:
         raise InputError(f"point lies in stratum {got}, not {chain}")
-    return _glue_unchecked(atlas, chain, point, values)
+    return point[0], _glue_rows(atlas, chain, point[0], point[1], values)
 
 
 def glue_pair(atlas: CollarAtlas, triple, left, right, lam: float):
@@ -326,7 +312,7 @@ def _glue_map(atlas: CollarAtlas, chain: Chain, point):
     def f(z):
         x = np.array(coords, dtype=float)
         x[free] = z[: len(free)]
-        return _glue_unchecked(atlas, chain, (piece, x), z[len(free) :])[1]
+        return _glue_rows(atlas, chain, piece, x, z[len(free) :])
 
     return f, free
 
@@ -380,10 +366,10 @@ class _Junction:
         self.right = Chain(chain.points[slot + 1 :])
 
     def glue(self, piece, x, lam):
-        left, right = self.emb.inverse((piece, x))
-        left = _glue_unchecked(self.atlas, self.left, left, lam[: self.slot])
-        right = _glue_unchecked(self.atlas, self.right, right, lam[self.slot + 1 :])
-        return self.emb.forward(left, right)
+        (lp, lx), (rp, rx) = self.emb.inverse((piece, x))
+        lx = _glue_rows(self.atlas, self.left, lp, lx, lam[..., : self.slot])
+        rx = _glue_rows(self.atlas, self.right, rp, rx, lam[..., self.slot + 1 :])
+        return self.emb.forward((lp, lx), (rp, rx))
 
     def split(self, piece, w):
         """Inverse of ``glue`` on its image: (x, left values, right values)."""
@@ -501,7 +487,7 @@ def build_collars(
         )
         for chain in chains:
             if chain.length >= 1:
-                atlas.charts[chain] = initial_collar(family, chain)
+                atlas.charts[chain] = AffineChart(family, chain)
         for chain in chains:
             if chain.length >= 1:
                 chart, eps = normalize_junctions(

@@ -88,6 +88,8 @@ class PairEmbedding:
     axis, so a left and a right factor of stacked coordinates, (n, dl)
     and (n, dr), on one piece each give (n, d) coordinates on one target
     piece, row i equal bit for bit to the single-point image of row i.
+    ``inverse`` takes rows the same way, except on point pairs: their
+    junctions never need a correction, so only single points reach it.
     """
 
     def forward(self, left: Point, right: Point) -> Point:
@@ -140,10 +142,10 @@ class SlotEmbedding(PairEmbedding):
 
     def inverse(self, point: Point) -> tuple[Point, Point]:
         _, w = point
-        if abs(w[self.left_dim]) > 1e-9:
+        if np.any(np.abs(w[..., self.left_dim]) > 1e-9):
             raise InputError("point is not on the junction face")
-        u = self._flip(w[: self.left_dim])
-        v = np.array(w[self.left_dim + 1 :], dtype=float)
+        u = self._flip(w[..., : self.left_dim])
+        v = np.array(w[..., self.left_dim + 1 :], dtype=float)
         return (0, u), (0, v)
 
 

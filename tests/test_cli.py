@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from strataglue import cube_family, load_family, save_family, with_flipped_embedding
+from strataglue import (
+    cube_family,
+    load_family,
+    save_family,
+    stretch_diffeo,
+    with_flipped_embedding,
+    with_target_diffeo,
+)
 from strataglue import cli
 from strataglue.cli import CSV_COLUMNS, main
 from strataglue.errors import NumericalError
@@ -78,6 +85,58 @@ def test_verify_is_deterministic(tmp_path):
     a = (tmp_path / "a" / "verify_report.json").read_text()
     b = (tmp_path / "b" / "verify_report.json").read_text()
     assert a == b
+
+
+def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
+    # the stretched family has no file form: the loader hands it over by name
+    stretched = with_target_diffeo(cube_family(3), ("p0", "p3"), stretch_diffeo(2))
+    load = cli._load_family
+    monkeypatch.setattr(
+        cli, "_load_family",
+        lambda source: stretched if source == "stretched-cube3" else load(source),
+    )
+    code = main([
+        "verify", "--family", "stretched-cube3", "--samples", "32",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    doc = json.loads((tmp_path / "verify_report.json").read_text())
+    assert len(doc["checks"]) == 19
+    assert all(row["pass"] for row in doc["checks"])
+    # the full chain of (p0, p3) needs corrected charts; no epsilon halves
+    assert doc["atlas"] == [
+        {"pair": ["p0", "p2"], "chain": ["p0", "p1", "p2"], "epsilon": 0.5,
+         "affine": True, "patches": 1},
+        {"pair": ["p0", "p3"], "chain": ["p0", "p1", "p2", "p3"], "epsilon": 0.5,
+         "affine": False, "patches": 1},
+        {"pair": ["p0", "p3"], "chain": ["p0", "p1", "p3"], "epsilon": 0.5,
+         "affine": True, "patches": 1},
+        {"pair": ["p0", "p3"], "chain": ["p0", "p2", "p3"], "epsilon": 0.5,
+         "affine": True, "patches": 1},
+        {"pair": ["p1", "p3"], "chain": ["p1", "p2", "p3"], "epsilon": 0.5,
+         "affine": True, "patches": 1},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "cube2", "--tol", "-1"],
+        ["verify", "--family", "cube2", "--tol", "nan"],
+        ["verify", "--family", "cube2", "--tol", "inf"],
+        ["verify", "--family", "cube2", "--samples", "0"],
+        ["verify", "--family", "cube2", "--samples", "-5"],
+        ["morse", "--system", "sphere", "--resolution", "0"],
+        ["morse", "--system", "sphere", "--resolution", "-3"],
+    ],
+    ids=["tol-minus-1", "tol-nan", "tol-inf", "samples-0", "samples-minus-5",
+         "resolution-0", "resolution-minus-3"],
+)
+def test_out_of_range_option_exits_2(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+    # rejected before anything is built or written
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_trivial_family(tmp_path, capsys):

@@ -24,12 +24,12 @@ from strataglue import (
 )
 from strataglue.collar import (
     SNAP_TOL,
+    AffineChart,
     _glue_rows,
     _unglue,
     check_differential,
     check_injectivity,
     check_single_space_compat,
-    initial_collar,
 )
 from strataglue.numerics import fd_jacobian
 
@@ -220,6 +220,33 @@ def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
         assert rows[0].tobytes() == X[0].tobytes()
 
 
+def test_stacked_charts_match_per_row(stretched_atlas, rng):
+    family = stretched_atlas.family
+    # every corrected chart, the ones nested inside others included,
+    # and one affine chart
+    charts = [stretched_atlas.chart(Chain(("p0", "p1", "p3")))]
+    for chart in stretched_atlas.charts.values():
+        while not chart.is_affine:
+            charts.append(chart)
+            chart = chart.prev
+    assert len(charts) > 2
+    for chart in charts:
+        eps = stretched_atlas.eps(chart.chain)
+        for patch in family.stratum(chart.chain).patches:
+            X = family.sample_patch(chart.chain, patch, 4, rng)
+            lam = rng.uniform(0.05 * eps, 0.95 * eps, size=(4, chart.chain.length))
+            # all slots zero, the corrected slot zero, all slots positive
+            lam[0] = 0.0
+            lam[1, getattr(chart, "slot", 0)] = 0.0
+            Y = chart.forward(patch.piece, X, lam)
+            single = [chart.forward(patch.piece, x, v) for x, v in zip(X, lam)]
+            assert Y.tobytes() == np.stack(single).tobytes()
+            x2, lam2 = chart.inverse(patch.piece, Y)
+            single = [chart.inverse(patch.piece, y) for y in Y]
+            assert x2.tobytes() == np.stack([x for x, _ in single]).tobytes()
+            assert lam2.tobytes() == np.stack([v for _, v in single]).tobytes()
+
+
 def test_unglue_inverts_glue(stretched_atlas, rng):
     family = stretched_atlas.family
     for chain in [FULL, Chain(("p0", "p2", "p3")), Chain(("p0", "p1", "p2"))]:
@@ -247,7 +274,7 @@ def _newton_inverse(family, chart, piece, coords):
     patch = chart.patches[piece]
     pinned = {patch.wall(r).axis for r in chart.chain.interior}
     free = [a for a in range(len(coords)) if a not in pinned]
-    x0, lam0 = initial_collar(family, chart.chain).inverse(piece, coords)
+    x0, lam0 = AffineChart(family, chart.chain).inverse(piece, coords)
 
     def unpack(z):
         x = x0.copy()

@@ -147,6 +147,14 @@ def test_stacked_forward_matches_per_row(name, rng):
     expect = np.stack([c for _, c in single])
     assert rows.shape == expect.shape == (6, family.space(p, q).dim)
     assert rows.tobytes() == expect.tobytes()
+    # inverse takes rows too, except on point pairs, which only ever
+    # invert single points
+    if name != "point-pair":
+        (lp, U), (rp, W) = emb.inverse((piece, rows))
+        back = [emb.inverse((piece, w)) for w in rows]
+        assert {(a[0], b[0]) for a, b in back} == {(lp, rp)}
+        assert U.tobytes() == np.stack([a[1] for a, _ in back]).tobytes()
+        assert W.tobytes() == np.stack([b[1] for _, b in back]).tobytes()
 
 
 # -- file format -------------------------------------------------------
