@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -88,14 +89,34 @@ def _load_system(source: str):
     if not isinstance(doc, dict):
         raise InputError(f"{source}: the top-level JSON value is not an object")
     section = doc.get("morse_system")
-    if not isinstance(section, dict) or "f" not in section:
+    if not isinstance(section, dict) or not isinstance(section.get("f"), str):
         raise InputError(f"{source}: no morse_system section with an f expression")
+    dim = section.get("dim", 2)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"{source}: morse_system dim must be an integer, got {dim!r}")
+    period = section.get("period")
+    if period is not None and not (
+        isinstance(period, list)
+        and len(period) == dim
+        and all(p is None or _is_positive_number(p) for p in period)
+    ):
+        raise InputError(
+            f"{source}: morse_system period must list {dim} entries, each "
+            f"null or a positive number, got {period!r}"
+        )
     return morse.system_from_expression(
         section["f"],
-        int(section.get("dim", 2)),
+        dim,
         box=section.get("box"),
-        period=section.get("period"),
+        period=period,
         name=doc.get("name", path.stem),
+    )
+
+
+def _is_positive_number(x) -> bool:
+    return (
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        and 0 < x < math.inf
     )
 
 

@@ -32,6 +32,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
 from .family import ArcData, ArcEnd, PairModuli, StratifiedFamily, from_morse
+from .dop853 import dop853_rows
 from .numerics import fd_jacobian
 from .poset import CriticalPoint
 
@@ -77,20 +78,24 @@ class MorseSystem:
     def f(self, u) -> float:
         return float(self._f(np.asarray(u, dtype=float)))
 
+    # grad, rhs and rhs_back take (..., dim) rows; row i of the result
+    # equals, bit for bit, the one-point result for row i
+
     def grad(self, u) -> np.ndarray:
-        """Euclidean chart gradient of f (finite differences by default)."""
+        """Euclidean chart gradient of f (finite differences, one row at
+        a time, by default)."""
         u = np.asarray(u, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(u), dtype=float)
-        return fd_jacobian(self._f, u, 1e-6)
+        rows = [fd_jacobian(self._f, r, 1e-6) for r in u.reshape(-1, self.dim)]
+        return np.reshape(rows, u.shape)
 
     def rhs(self, u) -> np.ndarray:
         """Negative-gradient velocity field in chart coordinates."""
         u = np.asarray(u, dtype=float)
-        g = self.grad(u)
         if self.on_sphere:
-            v = -(g - np.dot(g, u) * u / np.dot(u, u))
-            return v + (1.0 - np.dot(u, u)) * u
+            return self._sphere_field(u, -1.0)
+        g = self.grad(u)
         if self._metric_inv is not None:
             return -self._metric_inv(u) * g
         return -g
@@ -103,10 +108,15 @@ class MorseSystem:
         """
         u = np.asarray(u, dtype=float)
         if self.on_sphere:
-            g = self.grad(u)
-            v = g - np.dot(g, u) * u / np.dot(u, u)
-            return v + (1.0 - np.dot(u, u)) * u
+            return self._sphere_field(u, 1.0)
         return -self.rhs(u)
+
+    def _sphere_field(self, u, sign):
+        """sign times the tangential gradient, plus the radius term."""
+        g = self.grad(u)
+        uu = np.sum(u * u, axis=-1, keepdims=True)
+        v = g - np.sum(g * u, axis=-1, keepdims=True) * u / uu
+        return sign * v + (1.0 - uu) * u
 
     def hessian(self, u) -> np.ndarray:
         mat = fd_jacobian(self.grad, u, 1e-5)
@@ -162,6 +172,15 @@ class MorseSystem:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _last_axis(*cols) -> np.ndarray:
+    """Stack columns on a new last axis; the last column has the shape
+    of the rows, earlier ones may be scalars."""
+    out = np.empty(np.shape(cols[-1]) + (len(cols),))
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
+
+
 def tilted_torus(
     tilt: float = 0.1, swirl: float = 0.7, big_radius: float = 2.0,
     small_radius: float = 1.0,
@@ -192,19 +211,19 @@ def tilted_torus(
         return e[0] * w * np.cos(ph) + e[1] * w * np.sin(ph) + e[2] * r * np.sin(th)
 
     def grad(u):
-        th, ph = u[0], u[1]
-        ct, st = math.cos(th), math.sin(th)
-        cp, sp = math.cos(ph), math.sin(ph)
+        th, ph = u[..., 0], u[..., 1]
+        ct, st = np.cos(th), np.sin(th)
+        cp, sp = np.cos(ph), np.sin(ph)
         w = R + r * ct
         df_dth = (
             -r * st * (e[0] * cp + e[1] * sp) + e[2] * r * ct
         )
         df_dph = w * (-e[0] * sp + e[1] * cp)
-        return np.array([df_dth, df_dph])
+        return _last_axis(df_dth, df_dph)
 
     def metric_inv(u):
-        w = R + r * math.cos(u[0])
-        return np.array([1.0 / (r * r), 1.0 / (w * w)])
+        w = R + r * np.cos(u[..., 0])
+        return _last_axis(1.0 / (r * r), 1.0 / (w * w))
 
     return MorseSystem(
         "torus", 2, f, grad=grad, metric_inv=metric_inv, embed=embed,
@@ -219,8 +238,8 @@ def round_sphere() -> MorseSystem:
         return u[..., 2]
 
     def grad(u):
-        g = np.zeros(3)
-        g[2] = 1.0
+        g = np.zeros_like(u)
+        g[..., 2] = 1.0
         return g
 
     return MorseSystem("sphere", 3, f, grad=grad, on_sphere=True)
@@ -231,7 +250,7 @@ def interval_well() -> MorseSystem:
     return MorseSystem(
         "well", 1,
         lambda u: float(u[0] ** 2),
-        grad=lambda u: np.array([2.0 * u[0]]),
+        grad=lambda u: 2.0 * u[..., :1],
         box=([-1.0], [1.0]),
     )
 
@@ -253,7 +272,7 @@ def double_system(weight: float = 1.3) -> MorseSystem:
     return MorseSystem(
         "double", 2,
         lambda u: float(h(u[0]) + weight * h(u[1])),
-        grad=lambda u: np.array([dh(u[0]), weight * dh(u[1])]),
+        grad=lambda u: _last_axis(dh(u[..., 0]), weight * dh(u[..., 1])),
         box=([-2.5, -2.5], [2.5, 2.5]),
     )
 
@@ -470,7 +489,21 @@ class FlowSegment:
     times: np.ndarray
     states: np.ndarray
     status: str  # converged | exited | time
-    sol: object = None
+    sol: object = None  # the dense output: sol(t) is the state at time t
+
+
+def _speed(F) -> np.ndarray:
+    return np.sqrt(np.sum(F * F, axis=-1))
+
+
+def _level_gap(t, system, sol, level) -> float:
+    """f - level along a dense output, for ``brentq``.
+
+    Passed with ``args`` rather than closed over: scipy's ``brentq``
+    wraps its function in a self-referencing closure, and a closure
+    over a dense output would hold it until the next cycle collection.
+    """
+    return system.f(sol(t)) - level
 
 
 def integrate_flow(
@@ -488,42 +521,36 @@ def integrate_flow(
     critical point), when the path leaves the bounding box (truncated),
     or at the end of the time span.
     """
-    x = np.asarray(x, dtype=float)
+    return _flow_rows(
+        system, np.atleast_2d(x), t_span, rtol, atol, stop_speed, samples
+    )[0]
 
-    def rhs(t, u):
-        return system.rhs(u)
 
-    events = []
+def _flow_rows(
+    system, X, t_span=(0.0, 400.0), rtol=1e-10, atol=1e-12,
+    stop_speed=1e-7, samples=400,
+) -> list[FlowSegment]:
+    """``integrate_flow`` from every row of X, as one batch.
 
-    def speed_event(t, u):
-        return float(np.linalg.norm(system.rhs(u))) - stop_speed
-
-    speed_event.terminal = True
-    speed_event.direction = -1
-    events.append(speed_event)
+    Segment i equals ``integrate_flow(system, X[i], ...)`` bit for bit.
+    The speed stop test reads the field at each step end from the last
+    DOP853 stage, which is ``rhs`` there.
+    """
+    if t_span[1] <= t_span[0]:
+        raise InputError(f"time span {t_span} does not run forward")
+    events = [lambda Y, F: _speed(F) - stop_speed]
     if system.box is not None:
         lo, hi = system.box
-
-        def box_event(t, u):
-            return float(np.min(np.minimum(u - lo, hi - u))) + 1e-9
-
-        box_event.terminal = True
-        box_event.direction = -1
-        events.append(box_event)
-
-    sol = solve_ivp(
-        rhs, t_span, x, method="DOP853", rtol=rtol, atol=atol,
-        events=events, dense_output=True,
-    )
-    if sol.t_events[0].size:
-        status = "converged"
-    elif system.box is not None and sol.t_events[1].size:
-        status = "exited"
-    else:
-        status = "time"
-    ts = np.linspace(sol.t[0], sol.t[-1], samples)
-    states = sol.sol(ts).T
-    return FlowSegment(times=ts, states=states, status=status, sol=sol)
+        events.append(
+            lambda Y, F: np.min(np.minimum(Y - lo, hi - Y), axis=-1) + 1e-9
+        )
+    paths = dop853_rows(system.rhs, X, t_span, rtol, atol, events)
+    out = []
+    for path in paths:
+        status = "time" if path.event is None else ("converged", "exited")[path.event]
+        ts = np.linspace(path.t[0], path.t[-1], samples)
+        out.append(FlowSegment(times=ts, states=path(ts), status=status, sol=path))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -630,9 +657,9 @@ def _make_trajectory(
         lo, hi = times[k - 1], times[k]
         try:
             t_mid = brentq(
-                lambda t: system.f(seg.sol.sol(t)) - mid, lo, hi, xtol=1e-12
+                _level_gap, lo, hi, args=(system, seg.sol, mid), xtol=1e-12
             )
-            anchor = seg.sol.sol(t_mid)
+            anchor = seg.sol(t_mid)
         except ValueError:
             anchor = states[k]
     else:
@@ -851,10 +878,10 @@ class ModuliAnalysis:
 
     def _saddle_descents(self, p, q) -> list[Trajectory]:
         frame = _unstable_frame(self.system, p)
+        angles = (0.0, math.pi)
+        X = [_shoot_start(self.system, p, frame, angle) for angle in angles]
         out = []
-        for angle in (0.0, math.pi):
-            x = _shoot_start(self.system, p, frame, angle)
-            seg = integrate_flow(self.system, x)
+        for angle, seg in zip(angles, _flow_rows(self.system, X)):
             if seg.status != "converged":
                 continue
             target, dist = _nearest_crit(self.system, self.critical_points, seg.states[-1])
@@ -905,36 +932,39 @@ class ModuliAnalysis:
         s_star = brentq(lambda s: system.f(curve(s)) - level, s_lo, s_hi, xtol=1e-14)
         return curve(s_star)
 
-    def _back_prefix(self, p, x0, samples: int = 60):
-        """Backward path from x0 up to (near) p, ordered p -> x0."""
+    def _back_prefix(self, p, X0, samples: int = 60):
+        """Backward paths from the rows of X0 up to (near) p, as one
+        batch; each is (states, times), ordered p -> x0."""
         system = self.system
-
-        def rhs(t, u):
-            return system.rhs_back(u)
-
-        def speed_event(t, u):
-            return float(np.linalg.norm(system.rhs(u))) - 1e-9
-
-        speed_event.terminal = True
-        speed_event.direction = -1
-        sol = solve_ivp(
-            rhs, (0.0, 200.0), np.asarray(x0, float), method="DOP853",
-            rtol=1e-10, atol=1e-12, events=[speed_event], dense_output=True,
+        if system.on_sphere:
+            # rhs_back is not -rhs there, so the stop test needs rhs
+            speed = lambda Y, F: _speed(system.rhs(Y)) - 1e-9
+        else:
+            speed = lambda Y, F: _speed(F) - 1e-9
+        paths = dop853_rows(
+            system.rhs_back, X0, (0.0, 200.0), 1e-10, 1e-12, [speed]
         )
-        ts = np.linspace(sol.t[0], sol.t[-1], samples)
-        # backward time s corresponds to flow time -s before the launch
-        return sol.sol(ts).T[::-1][:-1], -ts[::-1][:-1]
+        out = []
+        for path in paths:
+            ts = np.linspace(path.t[0], path.t[-1], samples)
+            # backward time s corresponds to flow time -s before the launch
+            out.append((path(ts)[::-1][:-1], -ts[::-1][:-1]))
+        return out
 
-    def _classify(self, p, frame, angle, level, rtol=1e-8):
-        """Integrate one shot and summarize where it went.
+    def _classify(self, p, frame, angles, level, rtol=1e-8):
+        """Integrate one shot per angle, as one batch, and summarize
+        where each went.
 
-        Returns (tag, descriptor): tag is 'crit:<id>' or 'exit', and the
-        descriptor is the embedded crossing point at the reference level
-        (continuous within one trajectory family, jumping across the
-        stable set of a saddle).
+        Returns one (tag, descriptor) per angle: tag is 'crit:<id>',
+        'exit' or 'lost', and the descriptor is the embedded crossing
+        point at the reference level (continuous within one trajectory
+        family, jumping across the stable set of a saddle).
         """
-        x = self._launch(p, frame, angle)
-        seg = integrate_flow(self.system, x, rtol=rtol, atol=1e-10, samples=200)
+        X = [self._launch(p, frame, angle) for angle in angles]
+        segs = _flow_rows(self.system, X, rtol=rtol, atol=1e-10, samples=200)
+        return [self._mark(seg, level) for seg in segs]
+
+    def _mark(self, seg, level):
         if seg.status == "exited":
             return "exit", system_embed_end(self.system, seg)
         target, dist = _nearest_crit(self.system, self.critical_points, seg.states[-1])
@@ -948,10 +978,10 @@ class ModuliAnalysis:
             lo, hi = seg.times[k - 1], seg.times[k]
             try:
                 t_cross = brentq(
-                    lambda t: self.system.f(seg.sol.sol(t)) - level, lo, hi,
+                    _level_gap, lo, hi, args=(self.system, seg.sol, level),
                     xtol=1e-12,
                 )
-                desc = self.system.embed([seg.sol.sol(t_cross)])[0]
+                desc = self.system.embed([seg.sol(t_cross)])[0]
             except ValueError:
                 desc = self.system.embed([seg.states[k]])[0]
         return f"crit:{target.id}", desc
@@ -974,7 +1004,7 @@ class ModuliAnalysis:
             level = p.value - 0.5
         n = self.resolution
         angles = np.arange(n) / n * TWO_PI
-        marks = [self._classify(p, frame, a, level) for a in angles]
+        marks = self._classify(p, frame, angles, level)
         gaps = [
             np.linalg.norm(marks[i][1] - marks[(i + 1) % n][1])
             for i in range(n)
@@ -983,39 +1013,49 @@ class ModuliAnalysis:
         med = float(np.median(gaps)) if gaps else 0.05
         thresh = max(3.0 * med, 0.02)
         candidates = [
-            (angles[i], angles[(i + 1) % n] + (TWO_PI if i == n - 1 else 0.0),
-             marks[i], marks[(i + 1) % n])
+            [angles[i], angles[(i + 1) % n] + (TWO_PI if i == n - 1 else 0.0),
+             marks[i], marks[(i + 1) % n]]
             for i in range(n)
             if marks[i][0] != marks[(i + 1) % n][0]
             or np.linalg.norm(marks[i][1] - marks[(i + 1) % n][1]) > thresh
         ]
-        raw_special = []
-        for lo, hi, mark_lo, mark_hi in candidates:
-            for _ in range(60):
-                if hi - lo < 1e-12:
-                    break
-                mid = 0.5 * (lo + hi)
-                mark_mid = self._classify(p, frame, mid, level)
+        # bisect every candidate in lockstep: each round shoots all open
+        # midpoints as one batch; rows are independent, so each candidate
+        # ends where bisecting it alone would
+        for _ in range(60):
+            open_ = [c for c in candidates if c[1] - c[0] >= 1e-12]
+            if not open_:
+                break
+            mids = [0.5 * (c[0] + c[1]) for c in open_]
+            for c, mid, mark_mid in zip(
+                open_, mids, self._classify(p, frame, mids, level)
+            ):
+                lo, hi, mark_lo, mark_hi = c
                 if mark_mid[0] == mark_lo[0] and (
                     mark_mid[0] != mark_hi[0]
                     or np.linalg.norm(mark_mid[1] - mark_lo[1])
                     <= np.linalg.norm(mark_mid[1] - mark_hi[1])
                 ):
-                    lo, mark_lo = mid, mark_mid
+                    c[0], c[2] = mid, mark_mid
                 elif mark_mid[0] == mark_hi[0]:
-                    hi, mark_hi = mid, mark_mid
+                    c[1], c[3] = mid, mark_mid
                 else:
                     # the midpoint shot itself converged elsewhere: it is
                     # essentially on the separating trajectory
-                    lo = hi = mid
-                    break
-            if hi - lo > 1e-10 or (
-                mark_lo[0] == mark_hi[0]
-                and np.linalg.norm(mark_lo[1] - mark_hi[1]) < 1e-4
-            ):
-                continue  # gap closed under refinement: not a real jump
-            raw_special.append(0.5 * (lo + hi))
-        special = []
+                    c[0] = c[1] = mid
+        raw_special = [
+            0.5 * (lo + hi)
+            for lo, hi, mark_lo, mark_hi in candidates
+            # a gap that closed under refinement is not a real jump
+            if not (
+                hi - lo > 1e-10
+                or (
+                    mark_lo[0] == mark_hi[0]
+                    and np.linalg.norm(mark_lo[1] - mark_hi[1]) < 1e-4
+                )
+            )
+        ]
+        distinct = []
         seen_angles: list[float] = []
         for angle in raw_special:
             wrapped = angle % TWO_PI
@@ -1025,8 +1065,10 @@ class ModuliAnalysis:
             ):
                 continue
             seen_angles.append(wrapped)
-            x = self._launch(p, frame, angle)
-            seg = integrate_flow(system, x, rtol=1e-10, samples=600)
+            distinct.append(angle)
+        X = [self._launch(p, frame, angle) for angle in distinct]
+        hugs = []
+        for angle, x, seg in zip(distinct, X, _flow_rows(system, X, samples=600)):
             # which saddle does the limiting shot hug?
             emb = system.embed(seg.states)
             best, bdist = None, np.inf
@@ -1036,16 +1078,17 @@ class ModuliAnalysis:
                 )
                 if d < bdist:
                     best, bdist = s, d
-            if best is None or bdist > 1e-3:
-                continue
-            traj = _make_trajectory(
-                system, p, best, seg, angle=angle, truncate_at=best,
-                prefix=self._back_prefix(p, x),
-            )
-            special.append(
-                {"angle": angle % TWO_PI, "target": best.id, "trajectory": traj,
-                 "approach": bdist}
-            )
+            if best is not None and bdist <= 1e-3:
+                hugs.append((angle, x, seg, best, bdist))
+        prefixes = self._back_prefix(p, [h[1] for h in hugs])
+        special = [
+            {"angle": angle % TWO_PI, "target": best.id, "approach": bdist,
+             "trajectory": _make_trajectory(
+                 system, p, best, seg, angle=angle, truncate_at=best,
+                 prefix=prefix,
+             )}
+            for (angle, x, seg, best, bdist), prefix in zip(hugs, prefixes)
+        ]
         special.sort(key=lambda s: s["angle"])
         result = {
             "frame": frame, "level": level, "angles": angles, "marks": marks,
@@ -1056,14 +1099,19 @@ class ModuliAnalysis:
 
     # -- one-dimensional moduli -----------------------------------------
 
-    def _shot_trajectory(self, p, q, angle, samples=500) -> Trajectory:
+    def _shot_trajectory(self, p, q, angles, samples=500) -> list[Trajectory]:
+        """One trajectory of (p, q) per shooting angle; the forward shots
+        and their backward prefixes each run as one batch."""
         sweep = self._sweep(p)
-        x = self._launch(p, sweep["frame"], angle)
-        seg = integrate_flow(self.system, x, rtol=1e-10, samples=samples)
-        return _make_trajectory(
-            self.system, p, q, seg, angle=angle,
-            prefix=self._back_prefix(p, x),
-        )
+        X = [self._launch(p, sweep["frame"], angle) for angle in angles]
+        # prefixes first: their dense outputs are gone once sampled, so
+        # they never sit in memory beside the forward ones
+        prefixes = self._back_prefix(p, X)
+        segs = _flow_rows(self.system, X, samples=samples)
+        return [
+            _make_trajectory(self.system, p, q, seg, angle=angle, prefix=prefix)
+            for angle, seg, prefix in zip(angles, segs, prefixes)
+        ]
 
     def _one_dim_moduli(self, p, q) -> PairData | None:
         sweep = self._sweep(p)
@@ -1076,19 +1124,18 @@ class ModuliAnalysis:
             # closed one-parameter family: no broken boundary
             circ = self._loop_length(p, q)
             return PairData((p.id, q.id), 1, circle=circ)
-        arcs = []
         angles = [s["angle"] for s in special]
+        spans = []
         for i, lo in enumerate(angles):
             hi = angles[(i + 1) % len(angles)]
-            if hi <= lo:
-                hi += TWO_PI
-            mid = 0.5 * (lo + hi)
-            mark = self._classify(p, sweep["frame"], mid, sweep["level"])
-            if mark[0] != sink_tag:
-                continue
-            arcs.append(
-                ModuliArc(lo, hi, ends=(None, None))
-            )
+            spans.append((lo, hi + TWO_PI if hi <= lo else hi))
+        mids = [0.5 * (lo + hi) for lo, hi in spans]
+        marks = self._classify(p, sweep["frame"], mids, sweep["level"])
+        arcs = [
+            ModuliArc(lo, hi, ends=(None, None))
+            for (lo, hi), mark in zip(spans, marks)
+            if mark[0] == sink_tag
+        ]
         if not arcs:
             return None
         data = PairData((p.id, q.id), 1, arcs=arcs)
@@ -1111,38 +1158,44 @@ class ModuliAnalysis:
         raise InputError(f"no special shot at angle {angle}")
 
     def _match_arc_ends(self, p, q, data: PairData):
-        for arc in data.arcs:
-            ends = []
-            for side, angle in ((0, arc.angle_lo), (1, arc.angle_hi)):
-                special = self._special_by_angle(p, angle)
-                junction = special["target"]
-                left, right = self._broken_parts(p, q, junction)
-                li = next(
-                    i for i, t in enumerate(left)
-                    if abs(t.angle - special["trajectory"].angle) < 1e-9
+        sides = [
+            (arc, side, angle)
+            for arc in data.arcs
+            for side, angle in ((0, arc.angle_lo), (1, arc.angle_hi))
+        ]
+        # below ~1e-8 the saddle passage is at integrator noise level and
+        # the probe may hop branches; 1e-6 is safe.  One batch probes
+        # every end.
+        probes = self._shot_trajectory(p, q, [
+            angle + (1 if side == 0 else -1)
+            * min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
+            for arc, side, angle in sides
+        ])
+        ends = []
+        for (arc, side, angle), probe in zip(sides, probes):
+            special = self._special_by_angle(p, angle)
+            junction = special["target"]
+            left, right = self._broken_parts(p, q, junction)
+            li = next(
+                i for i, t in enumerate(left)
+                if abs(t.angle - special["trajectory"].angle) < 1e-9
+            )
+            best_ri, best_h = None, np.inf
+            for ri, rtraj in enumerate(right):
+                h = hausdorff_to_union(
+                    probe.points,
+                    [left[li].points, rtraj.points],
                 )
-                span = arc.angle_hi - arc.angle_lo
-                # below ~1e-8 the saddle passage is at integrator noise
-                # level and the probe may hop branches; 1e-6 is safe
-                probe_angle = angle + (1 if side == 0 else -1) * min(
-                    1e-6, 1e-3 * span
+                if h < best_h:
+                    best_ri, best_h = ri, h
+            ends.append(
+                ArcEndData(
+                    junction=junction, left_index=li, right_index=best_ri,
+                    angle=angle, hausdorff=best_h,
                 )
-                probe = self._shot_trajectory(p, q, probe_angle)
-                best_ri, best_h = None, np.inf
-                for ri, rtraj in enumerate(right):
-                    h = hausdorff_to_union(
-                        probe.points,
-                        [left[li].points, rtraj.points],
-                    )
-                    if h < best_h:
-                        best_ri, best_h = ri, h
-                ends.append(
-                    ArcEndData(
-                        junction=junction, left_index=li, right_index=best_ri,
-                        angle=angle, hausdorff=best_h,
-                    )
-                )
-            arc.ends = tuple(ends)
+            )
+        for i, arc in enumerate(data.arcs):
+            arc.ends = tuple(ends[2 * i:2 * i + 2])
             arc.length = self._arc_length(p, q, arc)
 
     # -- arc-length tables (gluing parameter) ---------------------------
@@ -1160,10 +1213,7 @@ class ModuliAnalysis:
         end = arc.angle_lo if side == 0 else arc.angle_hi
         sign = 1.0 if side == 0 else -1.0
         offsets = span * 0.5 * (0.5 ** np.arange(depth))[::-1]
-        trajs = [
-            self._shot_trajectory(p, q, end + sign * off, samples=300)
-            for off in offsets
-        ]
+        trajs = self._shot_trajectory(p, q, end + sign * offsets, samples=300)
         end_data = arc.ends[side]
         left, right = self._broken_parts(p, q, end_data.junction)
         broken = [
@@ -1182,14 +1232,15 @@ class ModuliAnalysis:
         off0, len0 = self._end_table(p, q, arc, 0)
         off1, len1 = self._end_table(p, q, arc, 1)
         # the two half-tables meet at the arc midpoint
-        mid0 = self._shot_trajectory(p, q, arc.angle_lo + off0[-1])
-        mid1 = self._shot_trajectory(p, q, arc.angle_hi - off1[-1])
+        mid0, mid1 = self._shot_trajectory(
+            p, q, [arc.angle_lo + off0[-1], arc.angle_hi - off1[-1]]
+        )
         return float(len0[-1] + len1[-1] + hausdorff(mid0.points, mid1.points))
 
     def _loop_length(self, p, q) -> float:
         n = max(self.resolution, 32)
         angles = np.arange(n + 1) / n * TWO_PI
-        trajs = [self._shot_trajectory(p, q, a, samples=200) for a in angles]
+        trajs = self._shot_trajectory(p, q, angles, samples=200)
         total = 0.0
         for a, b in zip(trajs, trajs[1:]):
             total += hausdorff(a.points, b.points)
@@ -1242,7 +1293,7 @@ class ModuliAnalysis:
         off = float(np.interp(lam, lengths, offsets))
         end = arc.angle_lo if side == 0 else arc.angle_hi
         sign = 1.0 if side == 0 else -1.0
-        return self._shot_trajectory(p, q, end + sign * off)
+        return self._shot_trajectory(p, q, [end + sign * off])[0]
 
     # -- export ---------------------------------------------------------
 
@@ -1310,22 +1361,19 @@ def find_trajectories(system, p, q, resolution: int = 64, analysis=None):
         return []
     if data.dim == 0:
         return list(data.trajectories)
-    out = []
     pc = analysis.by_id[pid]
     qc = analysis.by_id[qid]
     if data.circle is not None:
         n = resolution
-        for a in np.arange(n) / n * TWO_PI:
-            out.append(analysis._shot_trajectory(pc, qc, a, samples=200))
-        return out
-    for arc in data.arcs:
-        span = arc.angle_hi - arc.angle_lo
-        for frac in np.linspace(0.15, 0.85, 5):
-            out.append(
-                analysis._shot_trajectory(pc, qc, arc.angle_lo + frac * span,
-                                          samples=200)
-            )
-    return out
+        return analysis._shot_trajectory(
+            pc, qc, np.arange(n) / n * TWO_PI, samples=200
+        )
+    angles = [
+        arc.angle_lo + frac * (arc.angle_hi - arc.angle_lo)
+        for arc in data.arcs
+        for frac in np.linspace(0.15, 0.85, 5)
+    ]
+    return analysis._shot_trajectory(pc, qc, angles, samples=200)
 
 
 def detect_broken(system, p, q, analysis=None):

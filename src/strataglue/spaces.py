@@ -127,10 +127,6 @@ class StratumPatch:
     piece: int
     walls: frozenset[Wall]
 
-    @property
-    def codim(self) -> int:
-        return len(self.walls)
-
 
 @dataclass(frozen=True)
 class SectorFrame:

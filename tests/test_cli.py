@@ -287,6 +287,28 @@ def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"f": "x*x + y*y", "dim": "two"},
+        {"f": "x*x + y*y", "dim": 2, "period": 5},
+        {"f": 3, "dim": 2},
+        {"f": "x*x + y*y", "dim": 2.5, "box": [[-1, 1], [-1, 1]]},
+    ],
+    ids=["word-dim", "scalar-period", "numeric-f", "fractional-dim"],
+)
+def test_morse_malformed_system_section_exits_2(tmp_path, capsys, section):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"morse_system": section}))
+    code = main([
+        "morse", "--system", str(path), "--resolution", "4",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "morse_report.json").exists()
+
+
 def test_star_import_surface():
     namespace = {}
     exec("from strataglue import *", namespace)

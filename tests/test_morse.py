@@ -22,10 +22,12 @@ from strataglue.morse import (
     _points_to_polyline,
     hausdorff,
     hausdorff_to_union,
+    _flow_rows,
     integrate_flow,
     interval_well,
     parse_expression,
 )
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 
@@ -116,11 +118,126 @@ def test_anchor_stable_under_restart(torus_analysis):
     fs = np.array([system.f(u) for u in seg.states])
     k = int(np.searchsorted(-fs, -mid))
     t_mid = brentq(
-        lambda t: system.f(seg.sol.sol(t)) - mid,
+        lambda t: system.f(seg.sol(t)) - mid,
         seg.times[k - 1], seg.times[k], xtol=1e-12,
     )
-    anchor = seg.sol.sol(t_mid)
+    anchor = seg.sol(t_mid)
     assert system.distance(anchor, traj.anchor) < 1e-6
+
+
+def test_torus_special_angles_pinned(torus_analysis):
+    # the shooting angles of the isolated trajectories out of c0, as the
+    # scipy-driven sweep found them before the row-batched integrator
+    pinned = {
+        ("c0", "c1"): [3.571577341960839e-13, 3.141592653589436],
+        ("c0", "c2"): [0.1140499830285076, 6.169135323993213],
+    }
+    for pair, angles in pinned.items():
+        got = [t.angle for t in torus_analysis.pairs[pair].trajectories]
+        assert len(got) == len(angles)
+        assert max(abs(a - b) for a, b in zip(got, angles)) < 1e-8, (pair, got)
+
+
+# -- the row-batched flow engine ----------------------------------------
+
+
+def _custom_double():
+    return system_from_expression(
+        "x**3/3 - x + 1.3*(y**3/3 - y)", 2, box=[[-2.5, 2.5], [-2.5, 2.5]]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tilted_torus, round_sphere, double_system, interval_well, _custom_double],
+    ids=["torus", "sphere", "double", "well", "custom"],
+)
+def test_stacked_fields_match_per_row(make, rng):
+    system = make()
+    X = rng.uniform(-1.5, 1.5, size=(9, system.dim))
+    if system.on_sphere:
+        # off the unit sphere too, where the radius term is nonzero
+        X *= rng.uniform(0.8, 1.2, size=(9, 1)) / np.linalg.norm(X, axis=1)[:, None]
+    for field in (system.rhs, system.rhs_back):
+        stacked = field(X)
+        assert stacked.shape == X.shape
+        for x, row in zip(X, stacked):
+            assert field(x).tobytes() == row.tobytes()
+        assert field(X.reshape(3, 3, -1)).tobytes() == stacked.tobytes()
+
+
+def _scipy_flow(system, x):
+    """integrate_flow's contract, as solve_ivp(DOP853) computes it."""
+
+    def speed(t, u):
+        return float(np.linalg.norm(system.rhs(u))) - 1e-7
+
+    events = [speed]
+    if system.box is not None:
+        lo, hi = system.box
+
+        def box(t, u):
+            return float(np.min(np.minimum(u - lo, hi - u))) + 1e-9
+
+        events.append(box)
+    for event in events:
+        event.terminal = True
+        event.direction = -1
+    sol = solve_ivp(
+        lambda t, u: system.rhs(u), (0.0, 400.0), np.asarray(x, float),
+        method="DOP853", rtol=1e-10, atol=1e-12, events=events,
+        dense_output=True,
+    )
+    if sol.t_events[0].size:
+        return "converged", sol
+    if len(events) > 1 and sol.t_events[1].size:
+        return "exited", sol
+    return "time", sol
+
+
+@pytest.mark.parametrize(
+    "make, x, status",
+    [
+        (tilted_torus, [1.0, 2.0], "converged"),
+        (round_sphere, [0.6, 0.0, 0.8], "converged"),
+        (interval_well, [0.7], "converged"),
+        (double_system, [-1.5, 0.3], "exited"),
+    ],
+    ids=["torus", "sphere", "well", "double-exit"],
+)
+def test_flow_matches_scipy_dop853(make, x, status):
+    system = make()
+    seg = integrate_flow(system, x)
+    want, sol = _scipy_flow(system, x)
+    assert seg.status == want == status
+    # The stop time is ill-conditioned: near a sink the speed decays
+    # like exp(-lambda t), so an ulp of state error moves the 1e-7
+    # crossing by about 1e-15 / (lambda |u - c|).  The error estimate
+    # is a cancelling sum whose rounding differs from scipy's BLAS
+    # order, so the step sequences part at about 1e-7 relative, and
+    # torus stop times differ by up to a few 1e-8 while sampled states
+    # agree to about 1e-12.
+    assert abs(seg.times[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
+    assert np.abs(seg.states - sol.sol(seg.times).T).max() < 1e-10
+
+
+def test_batched_rows_equal_single_runs():
+    # converged, exited and timed-out rows, each stopping at its own time
+    system = double_system()
+    X = np.array([
+        [1 + 1e-6, 1 - 1e-6], [-1.5, 0.3], [0.1, -0.2],
+        [1 + 1e-4, 1 + 2e-4], [2.0, 1.2], [-1.2, 0.5],
+    ])
+    span = (0.0, 6.0)
+    batch = _flow_rows(system, X, span)
+    assert {seg.status for seg in batch} == {"converged", "exited", "time"}
+    assert len({seg.times[-1] for seg in batch}) > 3
+    for x, seg in zip(X, batch):
+        one = integrate_flow(system, x, t_span=span)
+        assert one.status == seg.status
+        assert one.sol.t.tobytes() == seg.sol.t.tobytes()
+        assert one.times.tobytes() == seg.times.tobytes()
+        assert one.states.tobytes() == seg.states.tobytes()
 
 
 def test_gradient_matches_finite_differences(rng):
