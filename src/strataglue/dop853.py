@@ -8,7 +8,8 @@ run by about 2 MB, while imported from ``morse`` it loads where
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
+
+from .numerics import brentq_rows
 
 
 _STAGES = _dop.N_STAGES  # 12; K[12] is the field at the step end
@@ -135,9 +136,12 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
     on row i alone.  Each event ``g(Y, F)`` maps rows and their field
     values ``F = fun(Y)`` to one value per row.  Every event is
     terminal with direction -1: when ``g`` goes from >= 0 to <= 0 over
-    a step, the root on that step's interpolant (``brentq``, xtol and
-    rtol 4 EPS) ends the row, the earliest root winning.  The span must
-    run forward.
+    a step, the row stops after that step.  Its end time, the root on
+    that step's interpolant, is found after the lockstep: each event
+    runs one ``brentq_rows`` (xtol and rtol 4 EPS) over all the steps
+    it stopped, on the interpolants built with every other step.  The
+    earliest root wins, and equal roots go to the lower event index.
+    The span must run forward.
 
     Rows advance in lockstep and stopped rows drop out.  Stage sums
     are elementwise, so each row's path equals, bit for bit, the path
@@ -158,6 +162,7 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
     pending = []  # per lockstep: rows, t_old, t_new, h, y_old, y_new, K
     built = []  # rows, t_old, t_new, h, y_old, F of interpolated steps
     ends = {}  # row -> (event index or None, final time)
+    hit_rows, hit_masks = [], []  # rows an event stopped, and which events
 
     while len(rows):
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -204,19 +209,11 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
         )
         hits = (g[:, a] >= 0) & (g_new <= 0)
         g[:, a] = g_new
-        _, t_old, t_step, h_step, y_old, y_step, K_step = step
-        for k in np.flatnonzero(hits.any(axis=0)):
-            # the root search runs on this row's step interpolant alone
-            one = slice(k, k + 1)
-            F = _dense(fun, y_old[one], y_step[one], K_step[:, one], h_step[one])
-            root, e = min(
-                (brentq(_event_on_step, t_old[k], t_step[k],
-                        args=(events[e], fun, t_old[k], h_step[k], y_old[k], F[0]),
-                        xtol=4 * _EPS, rtol=4 * _EPS), e)
-                for e in np.flatnonzero(hits[:, k])
-            )
-            ends[rows[a[k]]] = (int(e), root)
-            stop[a[k]] = True
+        hit = np.flatnonzero(hits.any(axis=0))
+        # the row stops now; its root is found after the lockstep
+        hit_rows.append(rows[a[hit]])
+        hit_masks.append(hits[:, hit])
+        stop[a[hit]] = True
         done = accept & ~stop & (t >= t_end)
         for r in rows[done]:
             ends[r] = (None, t_end)
@@ -228,18 +225,45 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
         built.append(_interpolants(fun, pending))
     steps = [np.concatenate(part) for part in zip(*built)]
     del built, pending  # the blocks, before the rows take their copies
-    return _paths(t0, steps, ends, n)
+    # a stable sort keeps each row's steps in time order
+    order = np.argsort(steps[0], kind="stable")
+    counts = np.bincount(steps[0], minlength=n)
+    stopped = np.concatenate(hit_rows)
+    if len(stopped):
+        # an event stopped each of these rows on its last step
+        last = order[np.cumsum(counts)[stopped] - 1]
+        roots, which = _event_roots(
+            fun, events, [part[last] for part in steps[1:]],
+            np.concatenate(hit_masks, axis=1),
+        )
+        for r, e, root in zip(stopped, which, roots):
+            ends[r] = (int(e), root)
+    return _paths(t0, steps, order, counts, ends)
 
 
-def _event_on_step(s, ev, fun, t_old, h, y_old, F):
-    """An event's value at time s on one step's interpolant.
+def _event_roots(fun, events, steps, hits):
+    """The earliest event root on each of m steps, and its event.
 
-    Passed to ``brentq`` with ``args``: scipy wraps the function in a
-    self-referencing closure, which would keep a closure's captures
-    alive until the next cycle collection.
+    ``steps`` holds the steps' t_old, t_new, h, y_old and interpolants;
+    ``hits[e, k]`` says that event e changed sign on step k.  Each event
+    runs one ``brentq_rows`` (xtol and rtol 4 EPS) over the steps it
+    hit; equal roots go to the lower event index.
     """
-    Y = _horner(F, (s - t_old) / h, y_old)[None]
-    return ev(Y, fun(Y))[0]
+    t_old, t_new, h, y_old, F = steps
+    roots = np.full(hits.shape, np.inf)
+    for e, ev in enumerate(events):
+        k = np.flatnonzero(hits[e])
+        if not len(k):
+            continue
+
+        def gap(s, i):
+            j = k[i]
+            Y = _horner(F[j], ((s - t_old[j]) / h[j])[:, None], y_old[j])
+            return ev(Y, fun(Y))
+
+        roots[e, k] = brentq_rows(gap, t_old[k], t_new[k], 4 * _EPS, 4 * _EPS)
+    which = np.argmin(roots, axis=0)  # the first of equal minima
+    return roots[which, np.arange(hits.shape[1])], which
 
 
 def _interpolants(fun, steps):
@@ -250,14 +274,12 @@ def _interpolants(fun, steps):
     return rows, t_old, t_new, h, y_old, F
 
 
-def _paths(t0, steps, ends, n):
-    """Split the interpolated steps into one ``Dop853Path`` per row."""
-    rows, t_old, t_new, h, y_old, F = steps
-    # a stable sort keeps each row's steps in time order
-    order = np.argsort(rows, kind="stable")
-    bounds = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+def _paths(t0, steps, order, counts, ends):
+    """Split the interpolated steps, ``order`` sorting them by row, into
+    one ``Dop853Path`` per row."""
+    _, t_old, t_new, h, y_old, F = steps
     paths = []
-    for r, idx in enumerate(np.split(order, bounds)):
+    for r, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
         event, t_final = ends[r]
         ts = np.concatenate([[t0], t_new[idx]])
         ts[-1] = t_final

@@ -33,10 +33,12 @@ from scipy.spatial import cKDTree
 from .errors import InputError, RangeError, UnsupportedDimensionError
 from .family import ArcData, ArcEnd, PairModuli, StratifiedFamily, from_morse
 from .dop853 import dop853_rows
-from .numerics import fd_jacobian
+from .numerics import brentq_rows, fd_jacobian
 from .poset import CriticalPoint
 
 TWO_PI = 2.0 * math.pi
+# bisection rounds whose midpoints the sweep shoots as one batch
+_LOOKAHEAD = 3
 
 
 # ---------------------------------------------------------------------
@@ -73,13 +75,14 @@ class MorseSystem:
         )
         self.on_sphere = on_sphere
 
-    # -- scalar field --------------------------------------------------
-
-    def f(self, u) -> float:
-        return float(self._f(np.asarray(u, dtype=float)))
-
-    # grad, rhs and rhs_back take (..., dim) rows; row i of the result
+    # f, grad, rhs and rhs_back take (..., dim) rows; row i of the result
     # equals, bit for bit, the one-point result for row i
+
+    def f(self, u):
+        """f at every row of u; a float at a single (dim,) point."""
+        u = np.asarray(u, dtype=float)
+        value = self._f(u)
+        return float(value) if u.ndim == 1 else np.asarray(value, dtype=float)
 
     def grad(self, u) -> np.ndarray:
         """Euclidean chart gradient of f (finite differences, one row at
@@ -249,7 +252,7 @@ def interval_well() -> MorseSystem:
     """f(x) = x^2 on [-1, 1]: a single interior minimum."""
     return MorseSystem(
         "well", 1,
-        lambda u: float(u[0] ** 2),
+        lambda u: u[..., 0] ** 2,
         grad=lambda u: 2.0 * u[..., :1],
         box=([-1.0], [1.0]),
     )
@@ -271,7 +274,7 @@ def double_system(weight: float = 1.3) -> MorseSystem:
 
     return MorseSystem(
         "double", 2,
-        lambda u: float(h(u[0]) + weight * h(u[1])),
+        lambda u: h(u[..., 0]) + weight * h(u[..., 1]),
         grad=lambda u: _last_axis(dh(u[..., 0]), weight * dh(u[..., 1])),
         box=([-2.5, -2.5], [2.5, 2.5]),
     )
@@ -359,9 +362,12 @@ def system_from_expression(
             raise InputError(f"bad box {box!r} for dimension {dim}")
     names = ["x", "y", "z"][:dim]
     fn = parse_expression(expr, names + [f"x{i}" for i in range(dim)])
-    # accept both spellings by duplicating the coordinate vector
+
     def f(u):
-        return fn(np.concatenate([u, u]))
+        # one row at a time until expressions compile to numpy code;
+        # both spellings are accepted by duplicating the coordinates
+        rows = [fn(np.concatenate([r, r])) for r in u.reshape(-1, dim)]
+        return np.reshape(rows, u.shape[:-1])
 
     return MorseSystem(name, dim, f, box=box, period=period)
 
@@ -588,13 +594,16 @@ def _unstable_frame(system: MorseSystem, crit: CriticalPointData) -> np.ndarray:
     return q
 
 
+def _frame_direction(frame, angle) -> np.ndarray:
+    """The direction of a shooting angle in an unstable frame of one or
+    two columns."""
+    if frame.shape[1] == 1:
+        return frame[:, 0] * (1.0 if angle < math.pi else -1.0)
+    return frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
+
+
 def _shoot_start(system, crit, frame, angle, delta=1e-4):
-    k = frame.shape[1]
-    if k == 1:
-        direction = frame[:, 0] * (1.0 if angle < math.pi else -1.0)
-    else:
-        direction = frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
-    x = crit.location + delta * direction
+    x = crit.location + delta * _frame_direction(frame, angle)
     if system.on_sphere:
         x = x / np.linalg.norm(x)
     return x
@@ -650,7 +659,7 @@ def _make_trajectory(
         states = states[: cut + 1]
         times = times[: cut + 1]
     mid = 0.5 * (source.value + target.value)
-    fs = np.array([system.f(u) for u in states])
+    fs = system.f(states)
     k = int(np.searchsorted(-fs, -mid))
     k = min(max(k, 1), len(states) - 1)
     if seg.sol is not None:
@@ -897,40 +906,62 @@ class ModuliAnalysis:
         top = max(below)
         return p.value - 0.25 * (p.value - top)
 
-    def _launch(self, p, frame, angle):
-        """Starting point on the level circle around p at the given angle.
+    def _launch(self, p, frame, angles) -> np.ndarray:
+        """Starting points, one row per angle, on the level circle
+        around p.
 
         Shooting directly off the unstable eigenframe is useless here:
         separatrix angles collapse exponentially onto the weak
         eigendirection.  Position along the nearby level curve of f is
         an honest coordinate on the local family of descending
-        trajectories, so shots are launched from there.
+        trajectories, so shots are launched from there.  Every angle
+        expands its bracket along its ray at once, and one
+        ``brentq_rows`` finds the level on all the rays; row i equals
+        the launch of angle i alone, bit for bit.
         """
         system = self.system
-        if frame.shape[1] == 1:
-            direction = frame[:, 0] * (1.0 if angle < math.pi else -1.0)
-        else:
-            direction = frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
         level = self._launch_level(p)
+        D = np.reshape(
+            [self._launch_direction(p, frame, angle) for angle in angles],
+            (-1, p.location.size),
+        )
         if system.on_sphere:
+            base = p.location / np.linalg.norm(p.location)
+            curve = lambda s, i: (
+                np.cos(s)[:, None] * base + np.sin(s)[:, None] * D[i]
+            )
+            s_max = 0.9 * math.pi
+        else:
+            curve = lambda s, i: p.location + s[:, None] * D[i]
+            s_max = 20.0
+        gap = lambda s, i: system.f(curve(s, i)) - level
+        rows = np.arange(len(D))
+        s_lo, s_hi = np.full(len(D), 1e-9), np.full(len(D), 1e-3)
+        inside = rows[gap(s_hi, rows) > 0]  # rows still above the level
+        lost = []
+        while len(inside):
+            s_lo[inside] = s_hi[inside]
+            s_hi[inside] *= 1.5
+            far = s_hi[inside] > s_max
+            lost += list(inside[far])
+            inside = inside[~far]
+            inside = inside[gap(s_hi[inside], inside) > 0]
+        if lost:
+            raise InputError(
+                f"level curve around {p.id} not reached along angle "
+                f"{angles[min(lost)]}"
+            )
+        return curve(brentq_rows(gap, s_lo, s_hi, xtol=1e-14), rows)
+
+    def _launch_direction(self, p, frame, angle) -> np.ndarray:
+        """The unit direction of one shooting angle (tangent to the
+        sphere at p on the sphere)."""
+        direction = _frame_direction(frame, angle)
+        if self.system.on_sphere:
             base = p.location / np.linalg.norm(p.location)
             direction = direction - np.dot(direction, base) * base
             direction /= np.linalg.norm(direction)
-            curve = lambda s: np.cos(s) * base + np.sin(s) * direction
-            s_max = 0.9 * math.pi
-        else:
-            curve = lambda s: p.location + s * direction
-            s_max = 20.0
-        s_lo, s_hi = 1e-9, 1e-3
-        while system.f(curve(s_hi)) > level:
-            s_lo = s_hi
-            s_hi *= 1.5
-            if s_hi > s_max:
-                raise InputError(
-                    f"level curve around {p.id} not reached along angle {angle}"
-                )
-        s_star = brentq(lambda s: system.f(curve(s)) - level, s_lo, s_hi, xtol=1e-14)
-        return curve(s_star)
+        return direction
 
     def _back_prefix(self, p, X0, samples: int = 60):
         """Backward paths from the rows of X0 up to (near) p, as one
@@ -960,7 +991,7 @@ class ModuliAnalysis:
         point at the reference level (continuous within one trajectory
         family, jumping across the stable set of a saddle).
         """
-        X = [self._launch(p, frame, angle) for angle in angles]
+        X = self._launch(p, frame, angles)
         segs = _flow_rows(self.system, X, rtol=rtol, atol=1e-10, samples=200)
         return [self._mark(seg, level) for seg in segs]
 
@@ -970,7 +1001,7 @@ class ModuliAnalysis:
         target, dist = _nearest_crit(self.system, self.critical_points, seg.states[-1])
         if seg.status != "converged" or dist > 1e-3:
             return "lost", system_embed_end(self.system, seg)
-        fs = np.array([self.system.f(u) for u in seg.states])
+        fs = self.system.f(seg.states)
         k = int(np.searchsorted(-fs, -level))
         if k <= 0 or k >= len(seg.states):
             desc = self.system.embed([seg.states[-1]])[0]
@@ -1019,18 +1050,23 @@ class ModuliAnalysis:
             if marks[i][0] != marks[(i + 1) % n][0]
             or np.linalg.norm(marks[i][1] - marks[(i + 1) % n][1]) > thresh
         ]
-        # bisect every candidate in lockstep: each round shoots all open
-        # midpoints as one batch; rows are independent, so each candidate
-        # ends where bisecting it alone would
-        for _ in range(60):
+        # bisect every candidate in lockstep, _LOOKAHEAD rounds per
+        # batch: the batch shoots every midpoint those rounds could
+        # visit, and the rounds then replay from its marks.  Rows are
+        # independent, so each candidate ends where bisecting it alone,
+        # one shot per round, would
+        for step in range(60):
             open_ = [c for c in candidates if c[1] - c[0] >= 1e-12]
             if not open_:
                 break
-            mids = [0.5 * (c[0] + c[1]) for c in open_]
-            for c, mid, mark_mid in zip(
-                open_, mids, self._classify(p, frame, mids, level)
-            ):
+            if step % _LOOKAHEAD == 0:
+                depth = min(_LOOKAHEAD, 60 - step)
+                ahead = [m for c in open_ for m in _bisection_mids(c[0], c[1], depth)]
+                shot = dict(zip(ahead, self._classify(p, frame, ahead, level)))
+            for c in open_:
                 lo, hi, mark_lo, mark_hi = c
+                mid = 0.5 * (lo + hi)
+                mark_mid = shot[mid]
                 if mark_mid[0] == mark_lo[0] and (
                     mark_mid[0] != mark_hi[0]
                     or np.linalg.norm(mark_mid[1] - mark_lo[1])
@@ -1066,7 +1102,7 @@ class ModuliAnalysis:
                 continue
             seen_angles.append(wrapped)
             distinct.append(angle)
-        X = [self._launch(p, frame, angle) for angle in distinct]
+        X = self._launch(p, frame, distinct)
         hugs = []
         for angle, x, seg in zip(distinct, X, _flow_rows(system, X, samples=600)):
             # which saddle does the limiting shot hug?
@@ -1092,7 +1128,7 @@ class ModuliAnalysis:
         special.sort(key=lambda s: s["angle"])
         result = {
             "frame": frame, "level": level, "angles": angles, "marks": marks,
-            "special": special,
+            "candidates": candidates, "special": special,
         }
         self._sweeps[p.id] = result
         return result
@@ -1103,7 +1139,7 @@ class ModuliAnalysis:
         """One trajectory of (p, q) per shooting angle; the forward shots
         and their backward prefixes each run as one batch."""
         sweep = self._sweep(p)
-        X = [self._launch(p, sweep["frame"], angle) for angle in angles]
+        X = self._launch(p, sweep["frame"], angles)
         # prefixes first: their dense outputs are gone once sampled, so
         # they never sit in memory beside the forward ones
         prefixes = self._back_prefix(p, X)
@@ -1165,12 +1201,19 @@ class ModuliAnalysis:
         ]
         # below ~1e-8 the saddle passage is at integrator noise level and
         # the probe may hop branches; 1e-6 is safe.  One batch probes
-        # every end.
-        probes = self._shot_trajectory(p, q, [
+        # every end and shoots every arc's two midpoints, where its end
+        # tables meet.
+        probe_angles = [
             angle + (1 if side == 0 else -1)
             * min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
             for arc, side, angle in sides
-        ])
+        ]
+        mid_angles = []
+        for arc in data.arcs:
+            half = _end_offsets(arc)[-1]
+            mid_angles += [arc.angle_lo + half, arc.angle_hi - half]
+        shots = self._shot_trajectory(p, q, probe_angles + mid_angles)
+        probes, mids = shots[:len(sides)], shots[len(sides):]
         ends = []
         for (arc, side, angle), probe in zip(sides, probes):
             special = self._special_by_angle(p, angle)
@@ -1196,45 +1239,41 @@ class ModuliAnalysis:
             )
         for i, arc in enumerate(data.arcs):
             arc.ends = tuple(ends[2 * i:2 * i + 2])
-            arc.length = self._arc_length(p, q, arc)
+            arc.length = self._arc_length(p, q, arc, *mids[2 * i:2 * i + 2])
 
     # -- arc-length tables (gluing parameter) ---------------------------
 
-    def _end_table(self, p, q, arc: ModuliArc, side: int, depth: int = 25):
+    def _end_table(self, p, q, arc: ModuliArc, side: int):
         """Cumulative Hausdorff-metric arc length from one arc end.
 
         Returns (offsets from the end angle, cumulative lengths), both
         increasing, starting at the boundary (offset ~0, length 0).
+        The first call shoots the tables of both ends as one batch.
         """
-        key = side
-        if key in arc._tables:
-            return arc._tables[key]
-        span = arc.angle_hi - arc.angle_lo
-        end = arc.angle_lo if side == 0 else arc.angle_hi
-        sign = 1.0 if side == 0 else -1.0
-        offsets = span * 0.5 * (0.5 ** np.arange(depth))[::-1]
-        trajs = self._shot_trajectory(p, q, end + sign * offsets, samples=300)
-        end_data = arc.ends[side]
-        left, right = self._broken_parts(p, q, end_data.junction)
-        broken = [
-            left[end_data.left_index].points,
-            right[end_data.right_index].points,
-        ]
-        # distance from the innermost sample to the boundary itself
-        lengths = [hausdorff_to_union(trajs[0].points, broken)]
-        for a, b in zip(trajs, trajs[1:]):
-            lengths.append(lengths[-1] + hausdorff(a.points, b.points))
-        table = (offsets, np.array(lengths))
-        arc._tables[key] = table
-        return table
+        if side not in arc._tables:
+            offsets = _end_offsets(arc)
+            angles = np.concatenate([arc.angle_lo + offsets, arc.angle_hi - offsets])
+            trajs = self._shot_trajectory(p, q, angles, samples=300)
+            for key, end_data in enumerate(arc.ends):
+                half = trajs[key * len(offsets):(key + 1) * len(offsets)]
+                left, right = self._broken_parts(p, q, end_data.junction)
+                broken = [
+                    left[end_data.left_index].points,
+                    right[end_data.right_index].points,
+                ]
+                # distance from the innermost sample to the boundary itself
+                lengths = [hausdorff_to_union(half[0].points, broken)]
+                for a, b in zip(half, half[1:]):
+                    lengths.append(lengths[-1] + hausdorff(a.points, b.points))
+                arc._tables[key] = (offsets, np.array(lengths))
+        return arc._tables[side]
 
-    def _arc_length(self, p, q, arc: ModuliArc) -> float:
-        off0, len0 = self._end_table(p, q, arc, 0)
-        off1, len1 = self._end_table(p, q, arc, 1)
-        # the two half-tables meet at the arc midpoint
-        mid0, mid1 = self._shot_trajectory(
-            p, q, [arc.angle_lo + off0[-1], arc.angle_hi - off1[-1]]
-        )
+    def _arc_length(self, p, q, arc: ModuliArc, mid0, mid1) -> float:
+        """The arc's length: both end tables, plus the distance between
+        their innermost shots ``mid0`` and ``mid1``, which meet at the
+        arc midpoint."""
+        len0 = self._end_table(p, q, arc, 0)[1]
+        len1 = self._end_table(p, q, arc, 1)[1]
         return float(len0[-1] + len1[-1] + hausdorff(mid0.points, mid1.points))
 
     def _loop_length(self, p, q) -> float:
@@ -1336,6 +1375,29 @@ class ModuliAnalysis:
 
 def system_embed_end(system, seg):
     return system.embed([seg.states[-1]])[0]
+
+
+def _end_offsets(arc, depth: int = 25) -> np.ndarray:
+    """Shooting offsets of an end table, from either end of the arc:
+    halving towards the end, the largest reaching the arc midpoint."""
+    span = arc.angle_hi - arc.angle_lo
+    return span * 0.5 * (0.5 ** np.arange(depth))[::-1]
+
+
+def _bisection_mids(lo, hi, depth):
+    """Midpoints of every bracket that ``depth`` rounds of bisecting
+    [lo, hi] could shoot: each open bracket's midpoint, then both of
+    its halves, level by level."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(depth):
+        halves = []
+        for a, b in level:
+            if b - a >= 1e-12:
+                m = 0.5 * (a + b)
+                mids.append(m)
+                halves += [(a, m), (m, b)]
+        level = halves
+    return mids
 
 
 # ---------------------------------------------------------------------

@@ -18,8 +18,11 @@ from strataglue import (
     system_from_expression,
     tilted_torus,
 )
+from strataglue import morse
+from strataglue.dop853 import dop853_rows
 from strataglue.morse import (
     _points_to_polyline,
+    _unstable_frame,
     hausdorff,
     hausdorff_to_union,
     _flow_rows,
@@ -164,6 +167,13 @@ def test_stacked_fields_match_per_row(make, rng):
         for x, row in zip(X, stacked):
             assert field(x).tobytes() == row.tobytes()
         assert field(X.reshape(3, 3, -1)).tobytes() == stacked.tobytes()
+    values = system.f(X)
+    assert values.shape == X.shape[:-1]
+    for x, value in zip(X, values):
+        one = system.f(x)
+        assert isinstance(one, float)
+        assert np.float64(one).tobytes() == value.tobytes()
+    assert system.f(X.reshape(3, 3, -1)).tobytes() == values.tobytes()
 
 
 def _scipy_flow(system, x):
@@ -240,6 +250,109 @@ def test_batched_rows_equal_single_runs():
         assert one.states.tobytes() == seg.states.tobytes()
 
 
+def _riccati(Y):
+    # x' = 1 + x^2 / 4, so x(t) = 2 tan(t / 2); columns 1 and 2 carry
+    # the row's two event thresholds and stay put
+    F = np.zeros_like(Y)
+    F[:, 0] = 1.0 + 0.25 * Y[:, 0] * Y[:, 0]
+    return F
+
+
+def test_dop853_rows_two_events_in_one_step():
+    # event e fires when x falls to threshold e, at t = 2 atan(c / 2)
+    events = [lambda Y, F: Y[:, 1] - Y[:, 0], lambda Y, F: Y[:, 2] - Y[:, 0]]
+    Y0 = np.array([
+        [0.0, 1.0 + 1e-9, 1.0],  # event 1 is earlier
+        [0.0, 1.0, 1.0 + 1e-9],  # event 0 is earlier
+        [0.0, 1.0, 1.0],  # equal roots: the lower index
+        [0.0, 9.0, 9.0],  # neither fires before the span ends
+    ])
+    span, rtol, atol = (0.0, 1.5), 1e-10, 1e-12
+    paths = dop853_rows(_riccati, Y0, span, rtol, atol, events)
+    assert [path.event for path in paths] == [1, 0, 0, None]
+    for path, y0 in zip(paths[:3], Y0):
+        # both thresholds are crossed inside the last step
+        step_lo = path._t_old[-1]
+        step_hi = step_lo + path._h[-1]
+        for c in y0[1:]:
+            assert step_lo < 2 * math.atan(c / 2) < step_hi
+    for path, y0 in zip(paths, Y0):
+        one = dop853_rows(_riccati, y0[None], span, rtol, atol, events)[0]
+        assert one.event == path.event
+        assert one.t.tobytes() == path.t.tobytes()
+        ts = np.linspace(0.0, path.t[-1], 50)
+        assert one(ts).tobytes() == path(ts).tobytes()
+
+        oracle = []
+        for e in range(2):
+            def g(t, y, e=e):
+                return events[e](y[None], None)[0]
+            g.terminal, g.direction = True, -1
+            oracle.append(g)
+        sol = solve_ivp(
+            lambda t, y: _riccati(y[None])[0], span, y0, method="DOP853",
+            rtol=rtol, atol=atol, events=oracle,
+        )
+        fired = [e for e in range(2) if sol.t_events[e].size]
+        assert fired == ([] if path.event is None else [path.event])
+        assert abs(path.t[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
+
+
+def _scalar_launch(analysis, p, frame, angle):
+    """One launch point: a bracket grown one step at a time, then scipy's
+    brentq on f along the ray (or great circle)."""
+    system = analysis.system
+    if frame.shape[1] == 1:
+        direction = frame[:, 0] * (1.0 if angle < math.pi else -1.0)
+    else:
+        direction = frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
+    level = analysis._launch_level(p)
+    if system.on_sphere:
+        base = p.location / np.linalg.norm(p.location)
+        direction = direction - np.dot(direction, base) * base
+        direction /= np.linalg.norm(direction)
+        curve = lambda s: np.cos(s) * base + np.sin(s) * direction
+    else:
+        curve = lambda s: p.location + s * direction
+    s_lo, s_hi = 1e-9, 1e-3
+    while system.f(curve(s_hi)) > level:
+        s_lo = s_hi
+        s_hi *= 1.5
+    return curve(brentq(lambda s: system.f(curve(s)) - level, s_lo, s_hi, xtol=1e-14))
+
+
+@pytest.mark.parametrize("name", ["torus_analysis", "sphere_analysis", "double_analysis"])
+def test_stacked_launch_points_match_one_angle_launches(name, request):
+    analysis = request.getfixturevalue(name)
+    p = next(c for c in analysis.critical_points if c.index == 2)
+    frame = _unstable_frame(analysis.system, p)
+    angles = np.concatenate([np.arange(24) / 24 * 2 * math.pi, [1e-13, 3.0, 6.28]])
+    X = analysis._launch(p, frame, angles)
+    assert X.shape == (len(angles), analysis.system.dim)
+    for angle, x in zip(angles, X):
+        assert analysis._launch(p, frame, [angle])[0].tobytes() == x.tobytes()
+        assert _scalar_launch(analysis, p, frame, angle).tobytes() == x.tobytes()
+
+
+def test_speculative_bisection_is_exact(double_analysis, monkeypatch):
+    # one round per batch is the plain sequential bisection
+    monkeypatch.setattr(morse, "_LOOKAHEAD", 1)
+    sequential = analyze(double_system())
+    assert double_analysis._sweeps.keys() == sequential._sweeps.keys()
+    for pid, ahead in double_analysis._sweeps.items():
+        one = sequential._sweeps[pid]
+        assert ahead["candidates"]
+        for c3, c1 in zip(ahead["candidates"], one["candidates"], strict=True):
+            assert c3[:2] == c1[:2]
+            for m3, m1 in zip(c3[2:], c1[2:]):
+                assert m3[0] == m1[0] and m3[1].tobytes() == m1[1].tobytes()
+        for m3, m1 in zip(ahead["marks"], one["marks"], strict=True):
+            assert m3[0] == m1[0] and m3[1].tobytes() == m1[1].tobytes()
+        assert [s["angle"] for s in ahead["special"]] == [s["angle"] for s in one["special"]]
+        for s3, s1 in zip(ahead["special"], one["special"]):
+            assert s3["trajectory"].states.tobytes() == s1["trajectory"].states.tobytes()
+
+
 def test_gradient_matches_finite_differences(rng):
     system = tilted_torus()
     h = 1e-6
@@ -281,8 +394,13 @@ def test_glue_rejects_bad_parameters(torus_analysis):
 # -- sphere ------------------------------------------------------------
 
 
-def test_sphere_circle_moduli():
-    analysis = analyze(round_sphere())
+@pytest.fixture(scope="module")
+def sphere_analysis():
+    return analyze(round_sphere())
+
+
+def test_sphere_circle_moduli(sphere_analysis):
+    analysis = sphere_analysis
     crits = analysis.critical_points
     assert len(crits) == 2
     assert [c.index for c in crits] == [2, 0]
