@@ -833,15 +833,8 @@ class SingleSpaceCollars:
         per = -(-count // max(1, len(pool)))
         for patch in pool:
             piece_idx = patch.piece if patch else 0
-            box = self.space.pieces[piece_idx]
-            lo = np.asarray(box.lower)
-            hi = np.asarray(box.upper)
-            coords = lo + (hi - lo) * rng.uniform(
-                margin, 1 - margin, size=(per, box.dim)
-            )
-            if patch:
-                for w in patch.walls:
-                    coords[:, w.axis] = box.wall_value(w)
+            walls = patch.walls if patch else ()
+            coords = self.space.pieces[piece_idx].sample(per, rng, walls, margin)
             out.extend((piece_idx, c) for c in coords)
         return out[:count]
 

@@ -11,7 +11,7 @@ it never derives the smooth structures itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import json
 
@@ -78,106 +78,6 @@ class ChainStratum:
 # ---------------------------------------------------------------------
 # product embeddings
 # ---------------------------------------------------------------------
-
-
-class PairEmbedding:
-    """Smooth embedding M(p,r)-bar x M(r,q)-bar -> M(p,q)-bar.
-
-    Subclasses implement ``forward`` and ``inverse`` on (piece, coords)
-    points.  ``forward`` also takes rows: coordinates sit on the last
-    axis, so a left and a right factor of stacked coordinates, (n, dl)
-    and (n, dr), on one piece each give (n, d) coordinates on one target
-    piece, row i equal bit for bit to the single-point image of row i.
-    ``inverse`` takes rows the same way, except on point pairs: their
-    junctions never need a correction, so only single points reach it.
-    """
-
-    def forward(self, left: Point, right: Point) -> Point:
-        raise NotImplementedError
-
-    def inverse(self, point: Point) -> tuple[Point, Point]:
-        raise NotImplementedError
-
-    def jacobian(self, left: Point, right: Point) -> np.ndarray:
-        """Central finite-difference Jacobian in box coordinates."""
-        lp, lc = left
-        rp, rc = right
-        nl = len(lc)
-
-        def f(vec):
-            return self.forward((lp, vec[:nl]), (rp, vec[nl:]))[1]
-
-        return fd_jacobian(f, np.concatenate([lc, rc]), 1e-6)
-
-
-class SlotEmbedding(PairEmbedding):
-    """Coordinate insertion (u, v) -> (u, 0, v) for single-piece boxes.
-
-    ``flip_axes`` optionally reverses the given left-factor axes
-    (u -> 1 - u); this deliberately breaks the stratum correspondence
-    and exists to exercise the validator.
-    """
-
-    def __init__(self, left_dim: int, right_dim: int, flip_axes=()):
-        self.left_dim = left_dim
-        self.right_dim = right_dim
-        self.flip_axes = tuple(flip_axes)
-        if any(a < 0 or a >= left_dim for a in self.flip_axes):
-            raise InputError(
-                f"flip axes {self.flip_axes} out of range for a "
-                f"{left_dim}-dimensional left factor"
-            )
-
-    def _flip(self, u: np.ndarray) -> np.ndarray:
-        u = np.array(u, dtype=float)
-        for a in self.flip_axes:
-            u[..., a] = 1.0 - u[..., a]
-        return u
-
-    def forward(self, left: Point, right: Point) -> Point:
-        (_, u), (_, v) = left, right
-        u = self._flip(u)
-        zero = np.zeros(u.shape[:-1] + (1,))
-        return 0, np.concatenate([u, zero, v], axis=-1)
-
-    def inverse(self, point: Point) -> tuple[Point, Point]:
-        _, w = point
-        if np.any(np.abs(w[..., self.left_dim]) > 1e-9):
-            raise InputError("point is not on the junction face")
-        u = self._flip(w[..., : self.left_dim])
-        v = np.array(w[..., self.left_dim + 1 :], dtype=float)
-        return (0, u), (0, v)
-
-
-class PointPairEmbedding(PairEmbedding):
-    """Embedding of a product of two 0-dimensional spaces.
-
-    Each pair of factor pieces is sent to one designated boundary point
-    of the target space, given as (target piece, wall).
-    """
-
-    def __init__(self, target: CorneredSpace, piece_map):
-        self.target = target
-        self.piece_map = dict(piece_map)  # (left piece, right piece) -> (piece, Wall)
-
-    def forward(self, left: Point, right: Point) -> Point:
-        key = (left[0], right[0])
-        if key not in self.piece_map:
-            raise InputError(f"no target for factor pieces {key}")
-        piece, wall = self.piece_map[key]
-        coords = np.array(
-            [self.target.pieces[piece].wall_value(wall)], dtype=float
-        ) if self.target.dim == 1 else np.zeros(self.target.dim)
-        return piece, np.tile(coords, np.shape(left[1])[:-1] + (1,))
-
-    def inverse(self, point: Point) -> tuple[Point, Point]:
-        piece, coords = point
-        for (li, ri), (tp, wall) in self.piece_map.items():
-            if tp == piece and abs(
-                self.target.pieces[tp].wall_offset(coords, wall)
-            ) <= 1e-9:
-                return (li, np.zeros(0)), (ri, np.zeros(0))
-        raise InputError("point is not an embedded product point")
 
 
 class Diffeo:
@@ -253,20 +153,97 @@ def stretch_diffeo(dim: int, strength: float = 0.3) -> Diffeo:
     return Diffeo(fwd, lambda y: _bump_root(y, s))
 
 
-class ComposedEmbedding(PairEmbedding):
-    """A base embedding post-composed with a diffeo of the target box."""
+def _then(first: Diffeo | None, second: Diffeo) -> Diffeo:
+    """The diffeo ``second`` after ``first``; just ``second`` without one."""
+    if first is None:
+        return second
+    return Diffeo(
+        lambda w: second(first(w)), lambda y: first.inverse(second.inverse(y))
+    )
 
-    def __init__(self, base: PairEmbedding, target_map: Diffeo):
-        self.base = base
-        self.target_map = target_map
+
+@dataclass(eq=False)
+class FaceEmbedding:
+    """Smooth embedding M(p,r)-bar x M(r,q)-bar -> M(p,q)-bar onto walls
+    of the target space.
+
+    ``piece_map`` sends each (left piece, right piece) to a (target
+    piece, wall).  The image of (u, v) is (u, wall value, v): the left
+    factor fills the axes below ``wall.axis`` and the right factor the
+    axes above it, followed by the optional diffeo ``target_map`` of the
+    target box.  ``flip_axes`` reverses the given left-factor axes
+    (u -> 1 - u); this deliberately breaks the stratum correspondence
+    and exists to exercise the validator.
+
+    ``forward`` and ``inverse`` take rows: coordinates sit on the last
+    axis, so a left and a right factor of stacked coordinates, (n, dl)
+    and (n, dr), on one piece each give (n, d) coordinates on one target
+    piece, row i equal bit for bit to the single-point image of row i.
+    ``inverse`` needs every row of a block on one embedded wall.
+    """
+
+    target: CorneredSpace
+    piece_map: dict  # (left piece, right piece) -> (target piece, Wall)
+    flip_axes: tuple = ()
+    target_map: Diffeo | None = None
+
+    def __post_init__(self):
+        self.piece_map = dict(self.piece_map)
+        self.flip_axes = tuple(self.flip_axes)
+        self._images: dict = {}  # piece_map with each wall's axis and value
+        for key, (tp, wall) in self.piece_map.items():
+            if not 0 <= tp < len(self.target.pieces):
+                raise InputError(f"factor pieces {key} map to a missing piece {tp}")
+            piece = self.target.pieces[tp]
+            if wall not in piece.walls:
+                raise InputError(
+                    f"factor pieces {key} map to {wall}, which piece {tp} lacks"
+                )
+            if any(not 0 <= a < wall.axis for a in self.flip_axes):
+                raise InputError(
+                    f"flip axes {self.flip_axes} out of range for a "
+                    f"{wall.axis}-dimensional left factor"
+                )
+            self._images[key] = (tp, wall.axis, piece.wall_value(wall))
+
+    def _flip(self, u: np.ndarray) -> np.ndarray:
+        u = np.array(u, dtype=float)
+        for a in self.flip_axes:
+            u[..., a] = 1.0 - u[..., a]
+        return u
 
     def forward(self, left: Point, right: Point) -> Point:
-        piece, w = self.base.forward(left, right)
-        return piece, self.target_map(w)
+        key = (left[0], right[0])
+        if key not in self._images:
+            raise InputError(f"no target for factor pieces {key}")
+        piece, _, value = self._images[key]
+        u = self._flip(left[1])
+        face = np.empty(u.shape[:-1] + (1,))
+        face.fill(value)
+        w = np.concatenate([u, face, right[1]], axis=-1)
+        return piece, w if self.target_map is None else self.target_map(w)
 
     def inverse(self, point: Point) -> tuple[Point, Point]:
         piece, w = point
-        return self.base.inverse((piece, self.target_map.inverse(w)))
+        w = np.asarray(w, dtype=float) if self.target_map is None else (
+            self.target_map.inverse(w)
+        )
+        for (li, ri), (tp, axis, value) in self._images.items():
+            if tp == piece and (np.abs(w[..., axis] - value) <= 1e-9).all():
+                u = self._flip(w[..., :axis])
+                return (li, u), (ri, np.array(w[..., axis + 1 :], dtype=float))
+        raise InputError("points do not lie on one embedded wall")
+
+    def jacobian(self, left: Point, right: Point) -> np.ndarray:
+        """Central finite-difference Jacobian in box coordinates."""
+        lp, lc = left
+        rp, rc = right
+        nl = len(lc)
+
+        def f(vec):
+            return self.forward((lp, vec[:nl]), (rp, vec[nl:]))[1]
+
+        return fd_jacobian(f, np.concatenate([lc, rc]), 1e-6)
 
 
 # ---------------------------------------------------------------------
@@ -325,7 +302,7 @@ class StratifiedFamily:
         except KeyError:
             raise InputError(f"no stratum for {chain}") from None
 
-    def embedding(self, p: str, r: str, q: str) -> PairEmbedding:
+    def embedding(self, p: str, r: str, q: str) -> FaceEmbedding:
         try:
             return self.embeddings[(p, r, q)]
         except KeyError:
@@ -351,15 +328,8 @@ class StratifiedFamily:
         self, chain: Chain, patch: PatchSpec, count: int, rng, margin: float = 1e-3
     ) -> np.ndarray:
         """Random box coordinates in the open part of one stratum patch."""
-        space = self.space(*chain.pair)
-        piece = space.pieces[patch.piece]
-        lo = np.asarray(piece.lower)
-        hi = np.asarray(piece.upper)
-        span = hi - lo
-        coords = lo + span * rng.uniform(margin, 1 - margin, size=(count, piece.dim))
-        for w in patch.walls:
-            coords[:, w.axis] = piece.wall_value(w)
-        return coords
+        piece = self.space(*chain.pair).pieces[patch.piece]
+        return piece.sample(count, rng, patch.walls, margin)
 
     def sample_stratum(self, chain: Chain, count: int, rng, margin: float = 1e-3):
         """Random points of a chain stratum, cycling over its patches."""
@@ -612,7 +582,9 @@ def cube_family(n: int) -> StratifiedFamily:
                 )
                 strata[chain] = ChainStratum(chain, (PatchSpec(0, wall_of),))
             for r in range(i + 1, j):
-                embeddings[(p, ids[r], q)] = SlotEmbedding(r - i - 1, j - r - 1)
+                embeddings[(p, ids[r], q)] = FaceEmbedding(
+                    spaces[(p, q)], {(0, 0): (0, Wall(r - i - 1, 0))}
+                )
     return StratifiedFamily(poset, spaces, strata, embeddings, name=f"cube{n}")
 
 
@@ -622,13 +594,16 @@ def with_target_diffeo(
     """Recoordinatize one space's embeddings by a wall-preserving diffeo.
 
     Every embedding into ``pair``'s space is post-composed with the
-    diffeo.  Because the diffeo preserves each coordinate wall, strata
-    and coherence survive; only affine-compatibility of collars breaks.
+    diffeo, after any target diffeo it already has.  Because the diffeo
+    preserves each coordinate wall, strata and coherence survive; only
+    affine-compatibility of collars breaks.
     """
     embeddings = dict(family.embeddings)
     for (p, r, q), emb in family.embeddings.items():
         if (p, q) == pair:
-            embeddings[(p, r, q)] = ComposedEmbedding(emb, diffeo)
+            embeddings[(p, r, q)] = replace(
+                emb, target_map=_then(emb.target_map, diffeo)
+            )
     return StratifiedFamily(
         family.poset, family.spaces, family.strata, embeddings,
         name=family.name + "+diffeo",
@@ -638,14 +613,9 @@ def with_target_diffeo(
 def with_flipped_embedding(
     family: StratifiedFamily, triple: tuple[str, str, str], axis: int = 0
 ) -> StratifiedFamily:
-    """Flip one coordinate of one slot embedding (a mutation for tests)."""
-    emb = family.embedding(*triple)
-    if not isinstance(emb, SlotEmbedding):
-        raise InputError("can only flip a slot embedding")
+    """Flip one left-factor axis of one embedding (a mutation for tests)."""
     embeddings = dict(family.embeddings)
-    embeddings[triple] = SlotEmbedding(
-        emb.left_dim, emb.right_dim, flip_axes=(axis,)
-    )
+    embeddings[triple] = replace(family.embedding(*triple), flip_axes=(axis,))
     return StratifiedFamily(
         family.poset, family.spaces, family.strata, embeddings,
         name=family.name + "+flip",
@@ -768,9 +738,7 @@ def from_morse(
                 )
             chain = Chain((p, junction, q))
             strata[chain] = ChainStratum(chain, tuple(by_junction[junction]))
-            embeddings[(p, junction, q)] = PointPairEmbedding(
-                space, piece_maps[junction]
-            )
+            embeddings[(p, junction, q)] = FaceEmbedding(space, piece_maps[junction])
     return StratifiedFamily(poset, spaces, strata, embeddings, name=name)
 
 
@@ -829,21 +797,23 @@ def save_family(family: StratifiedFamily, path) -> None:
             }
         )
     for (p, r, q), emb in sorted(family.embeddings.items()):
+        if emb.target_map is not None:
+            raise InputError(f"embedding for ({p},{r},{q}) is not serializable")
         entry = {"triple": [p, r, q]}
-        if isinstance(emb, SlotEmbedding):
+        # the slot form: factor pieces (0, 0) on a lower wall of piece 0
+        slot = emb.piece_map.get((0, 0))
+        if len(emb.piece_map) == 1 and slot and slot[0] == 0 and slot[1].side == 0:
             entry["type"] = "slot"
-            entry["left_dim"] = emb.left_dim
-            entry["right_dim"] = emb.right_dim
-            if emb.flip_axes:
-                entry["flip_axes"] = list(emb.flip_axes)
-        elif isinstance(emb, PointPairEmbedding):
+            entry["left_dim"] = slot[1].axis
+            entry["right_dim"] = emb.target.dim - slot[1].axis - 1
+        else:
             entry["type"] = "point_pair"
             entry["map"] = [
                 [li, ri, tp, [w.axis, w.side]]
                 for (li, ri), (tp, w) in sorted(emb.piece_map.items())
             ]
-        else:
-            raise InputError(f"embedding for ({p},{r},{q}) is not serializable")
+        if emb.flip_axes:
+            entry["flip_axes"] = list(emb.flip_axes)
         doc["embeddings"].append(entry)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -895,22 +865,18 @@ def load_family(path) -> StratifiedFamily:
         embeddings = {}
         for entry in doc["embeddings"]:
             p, r, q = entry["triple"]
+            target = spaces[(p, q)]
             if entry["type"] == "slot":
-                embeddings[(p, r, q)] = SlotEmbedding(
-                    entry["left_dim"],
-                    entry["right_dim"],
-                    flip_axes=tuple(entry.get("flip_axes", ())),
-                )
+                piece_map = {(0, 0): (0, Wall(entry["left_dim"], 0))}
             elif entry["type"] == "point_pair":
-                embeddings[(p, r, q)] = PointPairEmbedding(
-                    spaces[(p, q)],
-                    {
-                        (li, ri): (tp, Wall(a, s))
-                        for li, ri, tp, (a, s) in entry["map"]
-                    },
-                )
+                piece_map = {
+                    (li, ri): (tp, Wall(a, s)) for li, ri, tp, (a, s) in entry["map"]
+                }
             else:
                 raise InputError(f"unknown embedding type {entry['type']!r}")
+            embeddings[(p, r, q)] = FaceEmbedding(
+                target, piece_map, flip_axes=entry.get("flip_axes", ())
+            )
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers invalid JSON, a space key without "|", a bad
         # coordinate string, and the InputErrors raised above

@@ -111,6 +111,18 @@ class BoxPiece:
             w for w in self.walls if abs(self.wall_offset(coords, w)) <= tol
         )
 
+    def sample(self, count: int, rng, walls=(), margin: float = 1e-3) -> np.ndarray:
+        """``count`` random rows of box coordinates, each coordinate at
+        least ``margin`` of its side inside the box, then pinned to the
+        given walls."""
+        lo = np.asarray(self.lower)
+        hi = np.asarray(self.upper)
+        u = rng.uniform(margin, 1 - margin, size=(count, self.dim))
+        coords = lo + (hi - lo) * u
+        for w in walls:
+            coords[:, w.axis] = self.wall_value(w)
+        return coords
+
 
 @dataclass(frozen=True)
 class Face:

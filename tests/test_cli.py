@@ -1,8 +1,10 @@
-"""Entry points: the command line (subcommands, reports, exit codes) and
-the package's star-import surface."""
+"""Entry points: the command line (subcommands, reports, exit codes),
+the package's star-import surface and the names the benchmark probes."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,49 @@ def test_verify_malformed_family_file_exits_2(tmp_path, capsys, spoil):
     assert "input error" in capsys.readouterr().err
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TORUS_FILE = PERFBENCH / "data" / "torus.json"
+
+
+def _torus_map_entry(field, value):
+    """A spoiler that sets one field of the torus family's first map entry."""
+
+    def spoil(tmp_path):
+        doc = json.loads(TORUS_FILE.read_text())
+        doc["embeddings"][0]["map"][0][field] = value
+        return doc
+
+    return spoil
+
+
+def _cube3_left_dim_4(tmp_path):
+    path = tmp_path / "cube3.json"
+    save_family(cube_family(3), path)
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["embeddings"] if e["triple"] == ["p0", "p1", "p3"])
+    entry["left_dim"] = 4
+    return doc
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _torus_map_entry(2, 7),
+        _torus_map_entry(3, [3, 0]),
+        _torus_map_entry(3, [0, 2]),
+        _cube3_left_dim_4,
+    ],
+    ids=["torus-piece-7", "torus-wall-axis-3", "torus-wall-side-2", "cube3-left-dim-4"],
+)
+def test_verify_bad_embedding_entry_exits_2(tmp_path, capsys, spoil):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spoil(tmp_path)))
+    code = main(["verify", "--family", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_epsilon_underflow_exits_3(tmp_path, capsys):
     code = main([
         "verify", "--family", "cube2", "--epsilon-floor", "1.0",
@@ -330,3 +375,17 @@ def test_star_import_surface():
         "with_flipped_embedding", "with_target_diffeo", "zero_support_subchain",
         "__version__",
     }
+
+
+def test_every_benchmark_probe_resolves():
+    # a probe whose library name is gone reports its metrics as null, and
+    # the benchmark run still exits 0
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == {}
+    finally:
+        tracer.uninstall()

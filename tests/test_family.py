@@ -1,5 +1,7 @@
 """Stratified families: generators, validation, mutations, file format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from strataglue import (
     CriticalPoint,
     InputError,
     UnsupportedDimensionError,
+    Wall,
     cube_family,
     from_morse,
     load_family,
@@ -19,6 +22,9 @@ from strataglue import (
     with_target_diffeo,
 )
 from strataglue.family import ArcData, ArcEnd, PairModuli
+
+#: an exported torus family: four arcs, two 4-entry point-pair maps
+TORUS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "torus.json"
 
 
 # -- linear model family -----------------------------------------------
@@ -127,34 +133,51 @@ def _embedding_case(name):
         ends = (ArcEnd("r", 0, 0), None)
         family = from_morse(tiny_points(), tiny_relations(), tiny_moduli(ends))
         return family, ("p", "r", "q")
+    if name == "torus-point-pairs":
+        return load_family(TORUS_FILE), ("c0", "c1", "c3")
     diffeo = stretch_diffeo(3) if name == "stretch" else shear_diffeo(3)
     return with_target_diffeo(cube, ("p0", "p4"), diffeo), triple
 
 
 @pytest.mark.parametrize(
-    "name", ["slot", "flipped-slot", "point-pair", "stretch", "shear"]
+    "name",
+    ["slot", "flipped-slot", "point-pair", "torus-point-pairs", "stretch", "shear"],
 )
 def test_stacked_forward_matches_per_row(name, rng):
     family, (p, r, q) = _embedding_case(name)
     emb = family.embedding(p, r, q)
     lc, rc = Chain((p, r)), Chain((r, q))
-    lpatch, rpatch = family.stratum(lc).patches[0], family.stratum(rc).patches[0]
-    L = family.sample_patch(lc, lpatch, 6, rng)
-    R = family.sample_patch(rc, rpatch, 6, rng)
-    piece, rows = emb.forward((lpatch.piece, L), (rpatch.piece, R))
-    single = [emb.forward((lpatch.piece, u), (rpatch.piece, v)) for u, v in zip(L, R)]
-    assert {pc for pc, _ in single} == {piece}
-    expect = np.stack([c for _, c in single])
-    assert rows.shape == expect.shape == (6, family.space(p, q).dim)
-    assert rows.tobytes() == expect.tobytes()
-    # inverse takes rows too, except on point pairs, which only ever
-    # invert single points
-    if name != "point-pair":
-        (lp, U), (rp, W) = emb.inverse((piece, rows))
-        back = [emb.inverse((piece, w)) for w in rows]
-        assert {(a[0], b[0]) for a, b in back} == {(lp, rp)}
-        assert U.tobytes() == np.stack([a[1] for a, _ in back]).tobytes()
-        assert W.tobytes() == np.stack([b[1] for _, b in back]).tobytes()
+    for lpatch in family.stratum(lc).patches:
+        for rpatch in family.stratum(rc).patches:
+            L = family.sample_patch(lc, lpatch, 6, rng)
+            R = family.sample_patch(rc, rpatch, 6, rng)
+            piece, rows = emb.forward((lpatch.piece, L), (rpatch.piece, R))
+            single = [
+                emb.forward((lpatch.piece, u), (rpatch.piece, v)) for u, v in zip(L, R)
+            ]
+            assert {pc for pc, _ in single} == {piece}
+            expect = np.stack([c for _, c in single])
+            assert rows.shape == expect.shape == (6, family.space(p, q).dim)
+            assert rows.tobytes() == expect.tobytes()
+            (lp, U), (rp, W) = emb.inverse((piece, rows))
+            assert (lp, rp) == (lpatch.piece, rpatch.piece)
+            back = [emb.inverse((piece, w)) for w in rows]
+            assert {(a[0], b[0]) for a, b in back} == {(lp, rp)}
+            assert U.tobytes() == np.stack([a[1] for a, _ in back]).tobytes()
+            assert W.tobytes() == np.stack([b[1] for _, b in back]).tobytes()
+
+
+def test_inverse_rejects_rows_on_two_walls():
+    family = load_family(TORUS_FILE)
+    emb = family.embedding("c0", "c1", "c3")
+    piece = family.space("c0", "c3").pieces[0]
+    # (c0,c1,c3) ends on the lower wall of arc 0, (c0,c2,c3) on its upper
+    ends = np.array([[piece.lower[0]], [piece.upper[0]]])
+    assert emb.inverse((0, ends[:1]))[0][0] == 0
+    with pytest.raises(InputError):
+        emb.inverse((0, ends))
+    with pytest.raises(InputError):
+        emb.inverse((0, ends[1:]))
 
 
 # -- file format -------------------------------------------------------
@@ -169,6 +192,22 @@ def test_save_load_roundtrip(cube3_family, tmp_path, rng):
     for p, q in loaded.pairs():
         assert loaded.chains(p, q) == cube3_family.chains(p, q)
     assert validate_family(loaded, samples=8, rng=rng).passed
+
+
+def test_save_load_keeps_flips_and_point_pair_maps(tmp_path):
+    flipped = with_flipped_embedding(cube_family(3), ("p0", "p2", "p3"))
+    for family in (flipped, load_family(TORUS_FILE)):
+        path = tmp_path / "family.json"
+        save_family(family, path)
+        loaded = load_family(path)
+        assert loaded.triples() == family.triples()
+        for triple in family.triples():
+            emb, back = family.embedding(*triple), loaded.embedding(*triple)
+            assert back.piece_map == emb.piece_map
+            assert back.flip_axes == emb.flip_axes
+    assert loaded.embedding("c0", "c1", "c3").piece_map[(1, 0)] == (2, Wall(0, 0))
+    assert len(loaded.embedding("c0", "c2", "c3").piece_map) == 4
+    assert flipped.embedding("p0", "p2", "p3").flip_axes == (0,)
 
 
 def test_load_rejects_unknown_schema(tmp_path):
