@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# not called; perfbench/spans.py counts calls to this name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq, root
 from scipy.spatial import cKDTree
 
@@ -135,11 +136,13 @@ class MorseSystem:
         return U
 
     def wrap(self, u) -> np.ndarray:
+        """u with each periodic coordinate reduced into [0, period);
+        takes (..., dim) rows."""
         u = np.array(u, dtype=float)
         if self.period:
             for a, per in enumerate(self.period):
                 if per:
-                    u[a] = u[a] % per
+                    u[..., a] = u[..., a] % per
         return u
 
     def distance(self, a, b) -> float:
@@ -175,15 +178,6 @@ class MorseSystem:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _last_axis(*cols) -> np.ndarray:
-    """Stack columns on a new last axis; the last column has the shape
-    of the rows, earlier ones may be scalars."""
-    out = np.empty(np.shape(cols[-1]) + (len(cols),))
-    for i, col in enumerate(cols):
-        out[..., i] = col
-    return out
-
-
 def tilted_torus(
     tilt: float = 0.1, swirl: float = 0.7, big_radius: float = 2.0,
     small_radius: float = 1.0,
@@ -195,12 +189,11 @@ def tilted_torus(
     axis so that no saddle-to-saddle flow line survives.
     """
     R, r = big_radius, small_radius
-    e = np.array(
-        [
-            math.cos(tilt),
-            math.sin(tilt) * math.cos(swirl),
-            math.sin(tilt) * math.sin(swirl),
-        ]
+    # Python floats: numpy scalars would cost more per operation
+    e = (
+        math.cos(tilt),
+        math.sin(tilt) * math.cos(swirl),
+        math.sin(tilt) * math.sin(swirl),
     )
 
     def embed(U):
@@ -213,20 +206,23 @@ def tilted_torus(
         w = R + r * np.cos(th)
         return e[0] * w * np.cos(ph) + e[1] * w * np.sin(ph) + e[2] * r * np.sin(th)
 
+    # grad and metric_inv write into one np.empty: small lockstep
+    # batches make numpy's per-call overhead, not the arithmetic, the cost
     def grad(u):
-        th, ph = u[..., 0], u[..., 1]
-        ct, st = np.cos(th), np.sin(th)
-        cp, sp = np.cos(ph), np.sin(ph)
-        w = R + r * ct
-        df_dth = (
-            -r * st * (e[0] * cp + e[1] * sp) + e[2] * r * ct
-        )
-        df_dph = w * (-e[0] * sp + e[1] * cp)
-        return _last_axis(df_dth, df_dph)
+        c, s = np.cos(u), np.sin(u)
+        ct, cp = c[..., 0], c[..., 1]
+        st, sp = s[..., 0], s[..., 1]
+        out = np.empty(u.shape)
+        out[..., 0] = -r * st * (e[0] * cp + e[1] * sp) + e[2] * r * ct
+        out[..., 1] = (R + r * ct) * (-e[0] * sp + e[1] * cp)
+        return out
 
     def metric_inv(u):
+        out = np.empty(u.shape)
+        out[..., 0] = 1.0 / (r * r)
         w = R + r * np.cos(u[..., 0])
-        return _last_axis(1.0 / (r * r), 1.0 / (w * w))
+        out[..., 1] = 1.0 / (w * w)
+        return out
 
     return MorseSystem(
         "torus", 2, f, grad=grad, metric_inv=metric_inv, embed=embed,
@@ -269,13 +265,16 @@ def double_system(weight: float = 1.3) -> MorseSystem:
     def h(t):
         return t ** 3 / 3.0 - t
 
-    def dh(t):
-        return t * t - 1.0
+    def grad(u):
+        g = u * u
+        g -= 1.0
+        g[..., 1] *= weight
+        return g
 
     return MorseSystem(
         "double", 2,
         lambda u: h(u[..., 0]) + weight * h(u[..., 1]),
-        grad=lambda u: _last_axis(dh(u[..., 0]), weight * dh(u[..., 1])),
+        grad=grad,
         box=([-2.5, -2.5], [2.5, 2.5]),
     )
 
@@ -609,17 +608,23 @@ def _shoot_start(system, crit, frame, angle, delta=1e-4):
     return x
 
 
-def _nearest_crit(system, crits, u):
-    best, dist = None, np.inf
-    for c in crits:
-        d = system.distance(system.wrap(u), c.location)
-        if system.period:
-            # also compare against period shifts of the chart point
-            for shift in _period_shifts(system):
-                d = min(d, float(np.linalg.norm(system.wrap(u) - (c.location + shift))))
-        if d < dist:
-            best, dist = c, d
-    return best, dist
+def _nearest_crits(system, crits, U):
+    """Index into ``crits`` of the critical point nearest to each row of
+    U, and its distance, from one (rows, points, shifts) array.
+
+    A row's distance to a point is its embedded distance or, on a
+    periodic chart, the smaller of that and its chart distances to the
+    point's period shifts.  Ties go to the first point in ``crits``.
+    """
+    W = system.wrap(np.reshape(U, (-1, system.dim)))
+    C = np.array([c.location for c in crits])
+    d = np.linalg.norm(system.embed(W)[:, None] - system.embed(C), axis=-1)
+    if system.period:
+        shifted = C[:, None] + np.array(_period_shifts(system))
+        chart = np.linalg.norm(W[:, None, None] - shifted, axis=-1)
+        d = np.minimum(d, chart.min(axis=-1))
+    best = np.argmin(d, axis=1)
+    return best, d[np.arange(len(d)), best]
 
 
 def _period_shifts(system):
@@ -724,24 +729,51 @@ def _points_to_polyline(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _segment_distances(P, A, B) -> np.ndarray:
+    """Distance from each row of P to the segment from the same row of
+    A to that of B, by the arithmetic of ``_points_to_polyline``."""
+    AB = B - A
+    denom = np.maximum(np.einsum("ij,ij->i", AB, AB), 1e-30)
+    t = np.clip(np.einsum("ij,ij->i", P - A, AB) / denom, 0.0, 1.0)
+    return np.linalg.norm(P - (A + t[:, None] * AB), axis=1)
+
+
 def _farthest(P: np.ndarray, parts, tree: cKDTree, cmax: float) -> float:
     """max(cmax, max over p in P of min over parts of the polyline distance).
 
     Exact early break (Taha & Hanbury, IEEE TPAMI 37, 2015).  Each
-    point's distance to the nearest vertex of the parts (``tree`` holds
-    them all) bounds its distance to the polylines from above, since a
-    vertex lies on a segment.  Points are visited in descending bound,
-    ``_CHUNK`` at a time, each chunk through ``_points_to_polyline``;
-    the search stops once the largest bound left cannot beat the
-    running maximum.  The bound is inflated by a relative 1e-12 and an
-    absolute 1e-12 * (scale + 1), scale the largest coordinate: far
-    above the rounding of the tree's and the kernel's distances (the
-    kernel can put a vertex an ulp off its own segment), so no skipped
-    point could have raised the maximum and the result equals the
-    dense pass exactly.
+    point's distance to the polylines is bounded from above by its
+    distance to the nearest vertex of the parts (``tree`` holds them
+    all, stacked in order) and to the at most two segments of that
+    vertex's part that meet there; on finely sampled curves a segment
+    is far closer than its ends.  Points are visited in descending
+    bound, ``_CHUNK`` at a time, each chunk through
+    ``_points_to_polyline``; the search stops once the largest bound
+    left cannot beat the running maximum.  The bound is inflated by a
+    relative 1e-12 and an absolute 1e-12 * (scale + 1), scale the
+    largest coordinate: far above the rounding of the tree's, the
+    segments' and the kernel's distances (the kernel can put a vertex
+    an ulp off its own segment), so no skipped point could have raised
+    the maximum and the result equals the dense pass exactly.  Only a
+    point that equals a segment's start, as every point of two identical
+    curves does, gets the bound 0, which is then exact.
     """
     scale = max(float(np.abs(X).max()) for X in (P, *parts))
-    ub = tree.query(P)[0] * (1.0 + 1e-12) + 1e-12 * (scale + 1.0)
+    near, k = tree.query(P)
+    V = tree.data
+    first = np.zeros(len(V), dtype=bool)
+    first[np.cumsum([0] + [len(Q) for Q in parts[:-1]])] = True
+    # a vertex that starts (ends) its part has no segment before (after)
+    # it there; the degenerate segment (k, k) stands in for it
+    prev = k - ~first[k]
+    nxt = k + ~np.roll(first, -1)[k]
+    near = np.minimum(near, _segment_distances(P, V[prev], V[k]))
+    near = np.minimum(near, _segment_distances(P, V[k], V[nxt]))
+    ub = near * (1.0 + 1e-12) + 1e-12 * (scale + 1.0)
+    # a point equal to a vertex that starts a segment is at distance
+    # exactly 0 in the kernel too: its difference to the segment's start
+    # is zero, so is its parameter, and its projection is that start
+    ub[(nxt != k) & np.all(P == V[k], axis=1)] = 0.0
     order = np.argsort(-ub, kind="stable")
     for start in range(0, len(order), _CHUNK):
         idx = order[start:start + _CHUNK]
@@ -836,6 +868,7 @@ class ModuliAnalysis:
             raise InputError(f"degenerate (non-Morse) critical points: {bad}")
         self.pairs: dict[tuple[str, str], PairData] = {}
         self._sweeps: dict[str, dict] = {}
+        self._angles: dict | None = None  # filled by check_transversality
         self._compute()
 
     # -- structure -----------------------------------------------------
@@ -889,15 +922,16 @@ class ModuliAnalysis:
         frame = _unstable_frame(self.system, p)
         angles = (0.0, math.pi)
         X = [_shoot_start(self.system, p, frame, angle) for angle in angles]
-        out = []
-        for angle, seg in zip(angles, _flow_rows(self.system, X)):
-            if seg.status != "converged":
-                continue
-            target, dist = _nearest_crit(self.system, self.critical_points, seg.states[-1])
-            if target.id != q.id or dist > 1e-4:
-                continue
-            out.append(_make_trajectory(self.system, p, target, seg, angle=angle))
-        return out
+        segs = _flow_rows(self.system, X)
+        near, dist = _nearest_crits(
+            self.system, self.critical_points, [seg.states[-1] for seg in segs]
+        )
+        return [
+            _make_trajectory(self.system, p, q, seg, angle=angle)
+            for angle, seg, i, d in zip(angles, segs, near, dist)
+            if seg.status == "converged"
+            and self.critical_points[i].id == q.id and d <= 1e-4
+        ]
 
     # -- shooting sweep from an index-2 point ---------------------------
 
@@ -993,12 +1027,18 @@ class ModuliAnalysis:
         """
         X = self._launch(p, frame, angles)
         segs = _flow_rows(self.system, X, rtol=rtol, atol=1e-10, samples=200)
-        return [self._mark(seg, level) for seg in segs]
+        ends = [seg.states[-1] for seg in segs]
+        near, dist = _nearest_crits(self.system, self.critical_points, ends)
+        return [
+            self._mark(seg, level, self.critical_points[i], d)
+            for seg, i, d in zip(segs, near, dist)
+        ]
 
-    def _mark(self, seg, level):
+    def _mark(self, seg, level, target, dist):
+        """The mark of one shot, given the critical point nearest to its
+        end and that distance."""
         if seg.status == "exited":
             return "exit", system_embed_end(self.system, seg)
-        target, dist = _nearest_crit(self.system, self.critical_points, seg.states[-1])
         if seg.status != "converged" or dist > 1e-3:
             return "lost", system_embed_end(self.system, seg)
         fs = self.system.f(seg.states)
@@ -1218,6 +1258,16 @@ class ModuliAnalysis:
         for (arc, side, angle), probe in zip(sides, probes):
             special = self._special_by_angle(p, angle)
             junction = special["target"]
+            for part in ((p.id, junction), (junction, q.id)):
+                if part not in self.pairs:
+                    # the broken limit's half never lands: the saddle's
+                    # descent runs into another saddle instead
+                    raise InputError(
+                        f"arc of ({p.id},{q.id}) breaks at {junction} at "
+                        f"special angle {angle:.12g}, but ({part[0]},{part[1]}) "
+                        "has no isolated trajectory: a saddle-saddle "
+                        "connection, so the flow is not Morse-Smale"
+                    )
             left, right = self._broken_parts(p, q, junction)
             li = next(
                 i for i, t in enumerate(left)
@@ -1466,7 +1516,9 @@ def check_transversality(system, p, q, analysis=None) -> dict:
     Propagates the unstable frame of the source along each isolated
     trajectory with the linearized flow and measures its minimal
     principal angle against the stable space of the target; for pairs
-    with no trajectory, reports whether absence is expected.
+    with no trajectory, reports whether absence is expected.  The first
+    call on an analysis transports the frames of every isolated pair
+    (``_frame_angles``) and caches the angles there.
     """
     analysis = analysis or analyze(system)
     pid = p if isinstance(p, str) else p.id
@@ -1485,58 +1537,98 @@ def check_transversality(system, p, q, analysis=None) -> dict:
     }
     if data is None or data.dim != 0:
         return report
-    angles = []
-    for traj in data.trajectories:
-        angles.append(
-            _trajectory_angle(analysis.system, analysis, pc, qc, traj)
-        )
+    if analysis._angles is None:
+        analysis._angles = _frame_angles(analysis)
+    angles = analysis._angles[(pid, qid)]
     report["min_angle"] = min(angles) if angles else None
     report["transversal"] = report["min_angle"] is None or report["min_angle"] > 1e-3
     return report
 
 
-def _trajectory_angle(system, analysis, pc, qc, traj) -> float:
-    """Minimal principal angle between the transported unstable frame of
-    the source and the stable space of the target, at the target."""
-    frame = _unstable_frame(system, pc)
-    k = frame.shape[1]
-    dim = system.dim
+def _frame_angles(analysis) -> dict:
+    """The angle of every isolated trajectory, listed per pair.
 
-    def rhs(t, z):
-        u = z[:dim]
-        V = z[dim:].reshape(dim, k)
-        base = system.rhs(u)
-        A = fd_jacobian(system.rhs, u, 1e-6)
-        return np.concatenate([base, (A @ V).ravel()])
+    Each trajectory becomes one augmented row (u, V): its second state
+    and the source's unstable frame, flattened.  The rows of each
+    unstable dimension are transported together by ``_transport``; the
+    angle is then the minimal principal angle between the transported
+    frame and the stable space of the target, at the target.
+    """
+    system, dim = analysis.system, analysis.system.dim
+    pairs = [pair for pair, data in sorted(analysis.pairs.items()) if data.dim == 0]
+    frames = {p: _unstable_frame(system, analysis.by_id[p]) for p, _ in pairs}
+    stable = {q: _stable_space(system, analysis.by_id[q]) for _, q in pairs}
+    jobs = [
+        (pair, np.concatenate([traj.states[1], frames[pair[0]].ravel()]))
+        for pair in pairs
+        for traj in analysis.pairs[pair].trajectories
+    ]
+    moved = [None] * len(jobs)
+    for k in sorted({frame.shape[1] for frame in frames.values()}):
+        group = [i for i, (pair, _) in enumerate(jobs) if frames[pair[0]].shape[1] == k]
+        ends = _transport(system, np.array([jobs[i][1] for i in group]), k)
+        for i, z in zip(group, ends):
+            moved[i] = z[dim:].reshape(dim, k)
+    angles = {pair: [] for pair in pairs}
+    target_dim = 2 if system.on_sphere else dim
+    for (pair, _), V in zip(jobs, moved):
+        # transversality: the transported unstable frame and the stable
+        # space of the target must jointly span the whole tangent space
+        combined = np.hstack([V, stable[pair[1]]])
+        if combined.shape[1] < target_dim:
+            angles[pair].append(0.0)
+            continue
+        sv = np.linalg.svd(combined, compute_uv=False)
+        angles[pair].append(float(np.arcsin(np.clip(sv[target_dim - 1], 0.0, 1.0))))
+    return angles
 
-    # integrate in short legs, renormalizing the frame between them:
-    # the dominant exponent would overflow over a long trajectory
-    x = np.array(traj.states[1], dtype=float)
-    V = frame.copy()
+
+def _transport(system, Z, k) -> np.ndarray:
+    """Flow the rows (u, V) of Z under du/dt = rhs(u), dV/dt = J(u) V.
+
+    J is the central-difference Jacobian of ``rhs`` (``fd_jacobian``'s
+    stencil, step 1e-6, every row's in one ``rhs`` call).  Rows advance
+    in legs of 4 time units (DOP853, rtol 1e-8, atol 1e-10), their
+    frames re-orthonormalized between legs, since the dominant exponent
+    would overflow over a long trajectory.  A row stops once its speed
+    is below 1e-7, or after 60 legs.
+    """
+    dim, step = system.dim, 1e-6
+    shifts = np.eye(dim)[:, None] * step  # (axis, 1, dim)
+
+    def field(Y):
+        u = Y[:, :dim]
+        stencil = np.concatenate([u[None], u + shifts, u - shifts])
+        F = system.rhs(stencil.reshape(-1, dim)).reshape(2 * dim + 1, len(u), dim)
+        # J[i, r] is column i of row r's Jacobian
+        J = (F[1:dim + 1] - F[dim + 1:]) / (2 * step)
+        out = np.empty_like(Y)
+        out[:, :dim] = F[0]
+        out[:, dim:] = np.einsum(
+            "ira,ric->rac", J, Y[:, dim:].reshape(len(u), dim, k)
+        ).reshape(len(u), -1)
+        return out
+
+    Z = np.array(Z, dtype=float)
+    live = np.arange(len(Z))
     for _ in range(60):
-        z0 = np.concatenate([x, V.ravel()])
-        sol = solve_ivp(rhs, (0, 4.0), z0, method="DOP853", rtol=1e-8, atol=1e-10)
-        x = sol.y[:dim, -1]
-        V = sol.y[dim:, -1].reshape(dim, k)
-        V, _ = np.linalg.qr(V)
-        if np.linalg.norm(system.rhs(x)) < 1e-7:
+        paths = dop853_rows(field, Z[live], (0.0, 4.0), 1e-8, 1e-10, [])
+        ends = np.array([path(4.0) for path in paths])
+        frames, _ = np.linalg.qr(ends[:, dim:].reshape(len(live), dim, k))
+        ends[:, dim:] = frames.reshape(len(live), -1)
+        Z[live] = ends
+        live = live[_speed(system.rhs(ends[:, :dim])) >= 1e-7]
+        if not len(live):
             break
-    Vq = V
+    return Z
+
+
+def _stable_space(system, crit) -> np.ndarray:
+    """Orthonormal columns spanning the stable space of the flow at a
+    critical point (tangent to the sphere on the sphere)."""
     if system.on_sphere:
-        basis = _tangent_basis(qc.location)
-        hess = _sphere_hessian(system, qc.location, basis)
-        eigw, eigv = np.linalg.eigh(hess)
-        stable = basis @ eigv[:, eigw > 0]
-    else:
-        eigw, eigv = np.linalg.eigh(system.hessian(qc.location))
-        stable = eigv[:, eigw > 0]
-    if Vq.size == 0:
-        return 0.0
-    # transversality: the transported unstable frame and the stable
-    # space of the target must jointly span the whole tangent space
-    combined = np.hstack([Vq] + ([stable] if stable.size else []))
-    target_dim = 2 if system.on_sphere else system.dim
-    if combined.shape[1] < target_dim:
-        return 0.0
-    s = np.linalg.svd(combined, compute_uv=False)
-    return float(np.arcsin(np.clip(s[target_dim - 1], 0.0, 1.0)))
+        basis = _tangent_basis(crit.location)
+        eigw, eigv = np.linalg.eigh(_sphere_hessian(system, crit.location, basis))
+        return basis @ eigv[:, eigw > 0]
+    eigw, eigv = np.linalg.eigh(system.hessian(crit.location))
+    return eigv[:, eigw > 0]

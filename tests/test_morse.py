@@ -1,5 +1,6 @@
 """Gradient-flow engine: critical points, trajectories, moduli, gluing."""
 
+import copy
 import math
 
 import numpy as np
@@ -174,6 +175,54 @@ def test_stacked_fields_match_per_row(make, rng):
         assert isinstance(one, float)
         assert np.float64(one).tobytes() == value.tobytes()
     assert system.f(X.reshape(3, 3, -1)).tobytes() == values.tobytes()
+
+
+def _reference_torus(tilt=0.1, swirl=0.7, R=2.0, r=1.0):
+    """tilted_torus's grad and metric_inv as first written: one numpy
+    temporary per operation, columns stacked at the end."""
+    e = np.array([
+        math.cos(tilt), math.sin(tilt) * math.cos(swirl),
+        math.sin(tilt) * math.sin(swirl),
+    ])
+
+    def grad(u):
+        th, ph = u[..., 0], u[..., 1]
+        ct, st = np.cos(th), np.sin(th)
+        cp, sp = np.cos(ph), np.sin(ph)
+        w = R + r * ct
+        df_dth = -r * st * (e[0] * cp + e[1] * sp) + e[2] * r * ct
+        df_dph = w * (-e[0] * sp + e[1] * cp)
+        return np.stack([df_dth, df_dph], axis=-1)
+
+    def metric_inv(u):
+        w = R + r * np.cos(u[..., 0])
+        return np.stack([np.full(w.shape, 1.0 / (r * r)), 1.0 / (w * w)], axis=-1)
+
+    return grad, metric_inv
+
+
+def _reference_double_grad(u, weight=1.3):
+    dh = lambda t: t * t - 1.0
+    return np.stack([dh(u[..., 0]), weight * dh(u[..., 1])], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (9, 2), (4, 3, 2)])
+def test_builtin_fields_equal_reference_formulas(shape, rng):
+    torus, double = tilted_torus(), double_system()
+    grad, metric_inv = _reference_torus()
+    U = rng.uniform(-10.0, 10.0, size=shape)
+    assert torus.grad(U).tobytes() == grad(U).tobytes()
+    assert torus._metric_inv(U).tobytes() == metric_inv(U).tobytes()
+    assert double.grad(U).tobytes() == _reference_double_grad(U).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_wrap_reduces_every_row(rows, rng):
+    system = tilted_torus()
+    U = np.vstack([[7.0, 7.0], rng.uniform(-20.0, 20.0, size=(rows - 1, 2))])
+    wrapped = system.wrap(U)
+    assert wrapped.tobytes() == np.array([system.wrap(u) for u in U]).tobytes()
+    assert np.all((wrapped >= 0.0) & (wrapped < 2 * math.pi))
 
 
 def _scipy_flow(system, x):
@@ -449,6 +498,63 @@ def test_double_system_analytic_profile(double_analysis):
     assert np.std(b) < 1e-6
 
 
+# -- transversality ------------------------------------------------------
+
+# (expected dim, observed dim, min_angle) per pair.  Every angle is
+# arcsin(s) with s one or two ulps below 1, where one ulp of s moves the
+# angle by 1.5e-8: (c1,c3)'s pi/2 - 2.98e-8 on the torus is that rounding,
+# so the angles are pinned to 1e-7
+_TRANSVERSALITY = {
+    "torus_analysis": {
+        ("c0", "c1"): (0, 0, math.pi / 2),
+        ("c0", "c2"): (0, 0, math.pi / 2),
+        ("c0", "c3"): (1, 1, None),
+        ("c1", "c3"): (0, 0, 1.5707962969925742),
+        ("c2", "c3"): (0, 0, math.pi / 2),
+    },
+    "double_analysis": {
+        ("c0", "c1"): (0, 0, math.pi / 2),
+        ("c0", "c2"): (0, 0, math.pi / 2),
+        ("c0", "c3"): (1, 1, None),
+        ("c1", "c3"): (0, 0, math.pi / 2),
+        ("c2", "c3"): (0, 0, math.pi / 2),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSVERSALITY))
+def test_transversality_reports_pinned(name, request, monkeypatch):
+    # a copy with no cached angles, so the check transports the frames
+    analysis = copy.copy(request.getfixturevalue(name))
+    analysis._angles = None
+
+    def no_solve_ivp(*args, **kwargs):
+        raise AssertionError("check_transversality called solve_ivp")
+
+    monkeypatch.setattr(morse, "solve_ivp", no_solve_ivp)
+    pinned = _TRANSVERSALITY[name]
+    assert sorted(analysis.pairs) == sorted(pinned)
+    for (p, q), (expected_dim, observed_dim, angle) in pinned.items():
+        report = morse.check_transversality(analysis.system, p, q, analysis=analysis)
+        assert report["expected_dim"] == expected_dim
+        assert report["observed_dim"] == observed_dim
+        assert report["dimension_match"]
+        if angle is None:
+            assert report["min_angle"] is None
+            assert "transversal" not in report
+        else:
+            assert abs(report["min_angle"] - angle) <= 1e-7
+            assert report["transversal"] is True
+    assert analysis._angles is not None
+
+
+def test_saddle_connection_rejected():
+    # untilted, the saddles c1 and c2 are joined by flow lines, so the
+    # arcs of (c0,c3) break at c1 where (c1,c3) has no trajectory
+    with pytest.raises(InputError, match=r"\(c0,c3\) breaks at c1 .*\(c1,c3\).*Morse-Smale"):
+        analyze(tilted_torus(tilt=0.0))
+
+
 # -- one-dimensional and degenerate inputs -----------------------------
 
 
@@ -634,3 +740,21 @@ def test_hausdorff_zero_vertex_bound():
     assert _dense_hausdorff(P, P) > 0.0
     assert hausdorff(P, P) == _dense_hausdorff(P, P)
     assert hausdorff_to_union(P, [P]) == _dense_to_union(P, [P])
+
+
+def test_hausdorff_equals_dense_pass_on_end_table_shots(torus_analysis):
+    # consecutive end-table shots of every torus arc, at its low end on
+    # even arcs and its high end on odd ones: curves whose segments run
+    # from far below 1e-4 to above 0.1, the case the segment bound targets
+    analysis = torus_analysis
+    p, q = analysis.by_id["c0"], analysis.by_id["c3"]
+    steps = []
+    for i, arc in enumerate(analysis.pairs[("c0", "c3")].arcs):
+        offsets = morse._end_offsets(arc)
+        angles = arc.angle_hi - offsets if i % 2 else arc.angle_lo + offsets
+        shots = analysis._shot_trajectory(p, q, angles, samples=300)
+        for a, b in zip(shots, shots[1:]):
+            assert hausdorff(a.points, b.points) == _dense_hausdorff(a.points, b.points)
+        steps.append(np.linalg.norm(np.diff(shots[0].points, axis=0), axis=1))
+    steps = np.concatenate(steps)
+    assert steps.min() < 1e-4 and steps.max() > 0.1
