@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -411,6 +412,9 @@ def cmd_morse(args) -> int:
 # ---------------------------------------------------------------------
 
 
+# built once: a parser is a few hundred objects in reference cycles, which
+# a fresh one per in-process ``main`` call leaves to the cycle collector
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strataglue",
@@ -422,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("what", choices=["cube", "torus", "sphere", "double"])
     gen.add_argument("size", nargs="?", type=int, default=None)
     gen.add_argument("--out", default=None, help="output file or directory")
-    gen.set_defaults(func=cmd_generate)
 
     ver = sub.add_parser("verify", help="build collars and run all checks")
     ver.add_argument(
@@ -434,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=".")
     ver.add_argument("--epsilon-floor", type=float, default=1e-6)
-    ver.set_defaults(func=cmd_verify)
 
     mor = sub.add_parser("morse", help="analyze a gradient-flow system")
     mor.add_argument(
@@ -445,15 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     mor.add_argument("--resolution", type=int, default=64)
     mor.add_argument("--out", default=".")
     mor.add_argument("--export", default=None, help="also write the family file")
-    mor.set_defaults(func=cmd_morse)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser
+    commands = {"generate": cmd_generate, "verify": cmd_verify, "morse": cmd_morse}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ chart of the relevant space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -40,6 +40,7 @@ from .family import StratifiedFamily, validate_family
 from .numerics import fd_jacobian
 from .params import GlueParam, zero_support_subchain
 from .poset import Chain, concat_chains, is_subchain, pair_length
+from .spaces import StratumPatch
 
 #: collar parameters this close to zero are treated as exact zeros
 SNAP_TOL = 1e-11
@@ -119,9 +120,7 @@ class CorrectedChart:
         lam = np.asarray(lam, dtype=float)
         sliced = lam.copy()
         sliced[..., self.slot] = 0.0
-        rhs_piece, rhs_coords = self.junction.glue(piece, np.asarray(x, float), sliced)
-        if rhs_piece != piece:
-            raise InputError("junction correction changed the piece")
+        _, rhs_coords = self.junction.glue(piece, np.asarray(x, float), sliced)
         x2, lam2 = self.prev.inverse(piece, rhs_coords)
         lam2[..., self.slot] = lam[..., self.slot]
         return self.prev.forward(piece, x2, lam2)
@@ -175,7 +174,6 @@ class CollarAtlas:
         if own is None:
             raise InputError(f"{chain} has no patch on piece {piece}")
         best = chain
-        best_patch = own
         for other in family.chains(*chain.pair):
             if other.length <= best.length or other not in self.charts:
                 continue
@@ -183,7 +181,7 @@ class CollarAtlas:
                 continue
             patch = family.patch_for(other, piece)
             if patch is not None and own.walls <= patch.walls:
-                best, best_patch = other, patch
+                best = other
         self._routes[key] = best
         return best
 
@@ -299,7 +297,8 @@ def glue_pair(atlas: CollarAtlas, triple, left, right, lam: float):
 
 
 def _glue_map(atlas: CollarAtlas, chain: Chain, point):
-    """G_I near a point as a map of z = (free coordinates, collar values).
+    """G_I near a point, or near each row of a block on one piece, as a
+    map of z = (free coordinates, collar values) on the last axis.
 
     Returns (f, free): f(z) is the glued box point, and ``free`` lists
     the box axes of the stratum that the first entries of z move.
@@ -307,43 +306,56 @@ def _glue_map(atlas: CollarAtlas, chain: Chain, point):
     piece, coords = point
     patch = atlas.family.patch_for(chain, piece)
     pinned = {patch.wall(r).axis for r in chain.interior}
-    free = [a for a in range(len(coords)) if a not in pinned]
+    free = [a for a in range(np.shape(coords)[-1]) if a not in pinned]
 
     def f(z):
         x = np.array(coords, dtype=float)
-        x[free] = z[: len(free)]
-        return _glue_rows(atlas, chain, piece, x, z[len(free) :])
+        x[..., free] = z[..., : len(free)]
+        return _glue_rows(atlas, chain, piece, x, z[..., len(free) :])
 
     return f, free
 
 
 def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
-    """Differential of G_I at (x, values) in box coordinates.
+    """Differential of G_I at (x, values) in box coordinates, or at each
+    row of a block on one piece, the (d, columns) matrices stacked.
 
     Columns: first the free (stratum-tangent) coordinates of x, then the
     collar slots.  Exact for affine routes, high-order finite differences
     otherwise.
     """
     piece, coords = point
+    coords = np.asarray(coords, float)
     affine = atlas.chart(atlas.route(chain, piece)).is_affine
     f, free = _glue_map(atlas, chain, point)
-    z0 = np.concatenate([np.asarray(coords, float)[free], values])
+    z0 = np.concatenate([coords[..., free], values], axis=-1)
     if not affine:
         return fd_jacobian(f, z0, 1e-4, order=4)
     patch = atlas.family.patch_for(chain, piece)
-    jac = np.zeros((len(coords), len(z0)))
-    jac[free, np.arange(len(free))] = 1.0
+    jac = np.zeros(coords.shape + z0.shape[-1:])
+    jac[..., free, np.arange(len(free))] = 1.0
     for j, r in enumerate(chain.interior):
         w = patch.wall(r)
-        jac[w.axis, len(free) + j] = w.inward_sign
+        jac[..., w.axis, len(free) + j] = w.inward_sign
     return jac
 
 
 def _rows_distance(space, piece, A, B) -> np.ndarray:
     mat = space.charts[piece].matrix
-    if A.size == 0:
-        return np.zeros(len(A))
     return np.linalg.norm((A - B) @ mat.T, axis=1)
+
+
+def _norms(A) -> np.ndarray:
+    """Norm of each row, bit for bit ``np.linalg.norm`` of the row alone
+    (a dot product, which the ``axis=`` form, a pairwise sum, is not)."""
+    A = np.ascontiguousarray(A)
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _per_block(blocks, draw) -> list:
+    """One ``draw(n)`` for the n rows of all blocks, cut into runs."""
+    sizes = [len(X) for _, X in blocks]
+    return np.split(draw(sum(sizes)), np.cumsum(sizes)[:-1])
 
 
 # ---------------------------------------------------------------------
@@ -357,7 +369,9 @@ class _Junction:
     sub-chain, embed again."""
 
     def __init__(self, atlas: CollarAtlas, chain: Chain, slot: int):
-        self.atlas = atlas
+        # weak: the atlas holds the chart that holds this junction, and a
+        # strong reference back makes the atlas a cycle for the collector
+        self.atlas = weakref.proxy(atlas)
         self.slot = slot
         self.emb = atlas.family.embedding(
             chain.head, chain.points[slot + 1], chain.tail
@@ -382,20 +396,15 @@ class _Junction:
 def _junction_residual(atlas, chart, junction, eps, samples, rng) -> float:
     family = atlas.family
     chain = chart.chain
-    slot = junction.slot
     space = family.space(*chain.pair)
     worst = 0.0
-    points = family.sample_stratum(chain, samples, rng)
-    for piece, coords in points:
-        lam = rng.uniform(0.0, eps, size=chain.length)
-        lam[slot] = 0.0
-        lhs = chart.forward(piece, coords, lam)
-        rpiece, rcoords = junction.glue(piece, coords, lam)
-        if rpiece != piece:
-            return np.inf
-        worst = max(
-            worst, float(_rows_distance(space, piece, lhs[None], rcoords[None])[0])
-        )
+    blocks = family.sample_blocks(chain, samples, rng)
+    runs = _per_block(blocks, lambda n: rng.uniform(0.0, eps, size=(n, chain.length)))
+    for (piece, X), L in zip(blocks, runs):
+        L[:, junction.slot] = 0.0
+        lhs = chart.forward(piece, X, L)
+        _, R = junction.glue(piece, X, L)
+        worst = max(worst, float(_rows_distance(space, piece, lhs, R).max()))
     return worst
 
 
@@ -683,19 +692,20 @@ def check_stratum_condition(
     for chain in chains:
         eps = atlas.eps(chain)
         space = family.space(*chain.pair)
-        pts = family.sample_stratum(chain, per, rng)
-        zero = rng.random((len(pts), chain.length)) < 0.5
-        vals = rng.uniform(0.05 * eps, 0.95 * eps, size=zero.shape)
-        vals[zero] = 0.0
-        for point, v in zip(pts, vals):
-            expect = zero_support_subchain(
-                GlueParam(chain, tuple(float(x) for x in v))
-            )
-            out = glue(atlas, chain, point, v)
-            got = family.classify(chain.pair, out)
-            total += 1
-            if got != expect or space.depth(out) != expect.length:
-                failures += 1
+        blocks = family.sample_blocks(chain, per, rng)
+        zeros = _per_block(blocks, lambda n: rng.random((n, chain.length)) < 0.5)
+        runs = _per_block(
+            blocks, lambda n: rng.uniform(0.05 * eps, 0.95 * eps, size=(n, chain.length))
+        )
+        for (piece, X), Z, V in zip(blocks, zeros, runs):
+            V[Z] = 0.0
+            out = (piece, _glue_rows(atlas, chain, piece, X, V))
+            for got, depth, v in zip(
+                family.classify(chain.pair, out), space.depth(out), V
+            ):
+                expect = zero_support_subchain(GlueParam(chain, tuple(map(float, v))))
+                failures += got != expect or depth != expect.length
+            total += len(X)
     return failures, total
 
 
@@ -734,14 +744,18 @@ def check_differential(
     family = atlas.family
     eps = atlas.eps(chain)
     worst = 0.0
-    for piece, coords in family.sample_stratum(chain, samples, rng):
-        v = rng.uniform(0.1 * eps, 0.9 * eps, size=chain.length)
-        jac = glue_differential(atlas, chain, (piece, coords), v)
-        f, free = _glue_map(atlas, chain, (piece, coords))
-        fd = fd_jacobian(f, np.concatenate([coords[free], v]), 1e-6)
-        for jac_col, fd_col in zip(jac.T, fd.T):
-            scale = max(1.0, float(np.linalg.norm(fd_col)))
-            worst = max(worst, float(np.linalg.norm(jac_col - fd_col)) / scale)
+    blocks = family.sample_blocks(chain, samples, rng)
+    runs = _per_block(
+        blocks, lambda n: rng.uniform(0.1 * eps, 0.9 * eps, size=(n, chain.length))
+    )
+    for (piece, X), V in zip(blocks, runs):
+        jac = glue_differential(atlas, chain, (piece, X), V)
+        f, free = _glue_map(atlas, chain, (piece, X))
+        fd = fd_jacobian(f, np.concatenate([X[:, free], V], axis=1), 1e-6)
+        # columns on the last axis, as rows for _norms
+        scale = np.maximum(1.0, _norms(np.swapaxes(fd, 1, 2)))
+        err = _norms(np.swapaxes(jac - fd, 1, 2)) / scale
+        worst = max(worst, float(err.max()))
     return worst
 
 
@@ -797,46 +811,47 @@ class SingleSpaceCollars:
         return out
 
     def glue(self, subset, point, values):
-        """Collar a point of the open intersection of the given faces."""
+        """Collar a point of the open intersection of the given faces, or
+        each row of an (n, d) block on one stratum patch by its row of
+        values.  A row that pins other faces raises for the first such row.
+        """
         subset = tuple(subset)
         values = np.asarray(values, dtype=float)
-        if values.shape != (len(subset),):
+        coords = np.asarray(point[1], dtype=float)
+        if values.shape != coords.shape[:-1] + (len(subset),):
             raise InputError(
                 f"{values.shape} collar values for {len(subset)} faces"
             )
         if np.any(values < 0) or np.any(values >= 1.0):
             raise RangeError(f"collar values must lie in [0, 1), got {values}")
-        piece, coords = self.space.piece_of(point)
+        piece, coords = self.space.piece_of((point[0], coords))
         box = self.space.pieces[piece]
-        pinned = {}
-        for w in box.walls_at(coords):
-            pinned[self._wall_face[(piece, w)]] = w
-        if set(pinned) != set(subset):
-            raise InputError(
-                f"point pins faces {sorted(pinned)}, expected {sorted(subset)}"
-            )
-        out = np.array(coords, dtype=float)
-        for i, v in zip(subset, values):
+        out = np.array(coords)
+        # distinct wall sets in row order, so the first to fail is the first row's
+        wall_sets = dict.fromkeys(box.walls_at(np.atleast_2d(out)))
+        for walls in wall_sets:
+            pinned = {self._wall_face[(piece, w)]: w for w in walls}
+            if set(pinned) != set(subset):
+                raise InputError(
+                    f"point pins faces {sorted(pinned)}, expected {sorted(subset)}"
+                )
+        if len(wall_sets) != 1:
+            raise InputError("the rows of a block must lie on one stratum patch")
+        for i, v in zip(subset, np.moveaxis(values, -1, 0)):
             w = pinned[i]
             side = box.upper[w.axis] - box.lower[w.axis]
-            out[w.axis] += w.inward_sign * v * side
+            out[..., w.axis] += w.inward_sign * v * side
         return piece, out
 
-    def sample_intersection(self, subset, count, rng, margin: float = 1e-3):
-        """Random points of the open intersection of the given faces."""
+    def sample_intersection(self, subset, count, rng):
+        """Random points of the open intersection of the given faces, as
+        (piece, rows) blocks drawn by ``CorneredSpace.sample_patches``."""
         rng = np.random.default_rng(rng)
         patches = self.space.face_intersection([self.faces[i] for i in subset])
         if not patches and subset:
             raise InputError(f"faces {subset} have empty intersection")
-        out = []
-        pool = [None] if not subset else patches
-        per = -(-count // max(1, len(pool)))
-        for patch in pool:
-            piece_idx = patch.piece if patch else 0
-            walls = patch.walls if patch else ()
-            coords = self.space.pieces[piece_idx].sample(per, rng, walls, margin)
-            out.extend((piece_idx, c) for c in coords)
-        return out[:count]
+        pool = patches if subset else [StratumPatch(0, frozenset())]
+        return self.space.sample_patches(pool, count, rng)
 
 
 def single_space_collars(space, faces=None) -> SingleSpaceCollars:
@@ -868,14 +883,14 @@ def check_single_space_compat(
     for I in subsets:
         for k in range(len(I) + 1):
             for J in combinations(I, k):
-                for point in collars.sample_intersection(I, budget, rng):
-                    vals = rng.uniform(0.0, 0.999, size=len(I))
-                    piece, lhs = collars.glue(I, point, vals)
-                    masked = vals.copy()
-                    jpos = [I.index(j) for j in J]
-                    masked[jpos] = 0.0
+                blocks = collars.sample_intersection(I, budget, rng)
+                runs = _per_block(blocks, lambda n: rng.uniform(0.0, 0.999, (n, len(I))))
+                jpos = [I.index(j) for j in J]
+                for point, V in zip(blocks, runs):
+                    _, lhs = collars.glue(I, point, V)
+                    masked = V.copy()
+                    masked[:, jpos] = 0.0
                     mid = collars.glue(I, point, masked)
-                    _, rhs = collars.glue(J, mid, vals[jpos])
-                    d = float(np.linalg.norm(lhs - rhs))
-                    worst = max(worst, d)
+                    _, rhs = collars.glue(J, mid, V[:, jpos])
+                    worst = max(worst, float(_norms(lhs - rhs).max()))
     return worst

@@ -23,7 +23,6 @@ from .poset import Chain, CriticalPoint, CriticalPoset, concat_chains, enumerate
 from .spaces import (
     BoxPiece,
     CorneredSpace,
-    StratumPatch,
     Wall,
     box_space,
     circle_space,
@@ -308,13 +307,14 @@ class StratifiedFamily:
         except KeyError:
             raise InputError(f"no embedding for ({p!r},{r!r},{q!r})") from None
 
-    def classify(self, pair, point) -> Chain | None:
-        """The chain whose stratum contains the point, if any."""
+    def classify(self, pair, point):
+        """The chain whose stratum contains the point, if any; for a block
+        of (n, d) rows on one piece, a list with one entry per row."""
         space = self.space(*pair)
         piece, coords = space.piece_of(point)
-        walls = space.pieces[piece].walls_at(coords)
-        hit = self._by_patch.get((pair, piece, walls))
-        return hit[0] if hit else None
+        walls = space.pieces[piece].walls_at(np.atleast_2d(coords))
+        chains = [self._by_patch.get((pair, piece, ws), (None,))[0] for ws in walls]
+        return chains if coords.ndim > 1 else chains[0]
 
     def patch_for(self, chain: Chain, piece: int) -> PatchSpec | None:
         for patch in self.stratum(chain).patches:
@@ -331,17 +331,16 @@ class StratifiedFamily:
         piece = self.space(*chain.pair).pieces[patch.piece]
         return piece.sample(count, rng, patch.walls, margin)
 
-    def sample_stratum(self, chain: Chain, count: int, rng, margin: float = 1e-3):
-        """Random points of a chain stratum, cycling over its patches."""
-        stratum = self.stratum(chain)
-        if not stratum.patches:
-            return []
-        out = []
-        per = -(-count // len(stratum.patches))
-        for patch in stratum.patches:
-            for coords in self.sample_patch(chain, patch, per, rng, margin):
-                out.append((patch.piece, coords))
-        return out[:count]
+    def sample_blocks(self, chain: Chain, count: int, rng):
+        """Random points of a chain stratum, as (piece, rows) blocks drawn
+        by ``CorneredSpace.sample_patches`` over the stratum's patches."""
+        patches = self.stratum(chain).patches
+        return self.space(*chain.pair).sample_patches(patches, count, rng)
+
+    def sample_stratum(self, chain: Chain, count: int, rng):
+        """Random points of a chain stratum: ``sample_blocks`` point by point."""
+        blocks = self.sample_blocks(chain, count, rng)
+        return [(piece, coords) for piece, rows in blocks for coords in rows]
 
     def distance(self, pair, a: Point, b: Point) -> float:
         """Euclidean distance in the reference chart; +inf across pieces."""

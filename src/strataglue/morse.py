@@ -494,7 +494,7 @@ class FlowSegment:
     times: np.ndarray
     states: np.ndarray
     status: str  # converged | exited | time
-    sol: object = None  # the dense output: sol(t) is the state at time t
+    sol: object  # the dense output: sol(t) is the state at time t
 
 
 def _speed(F) -> np.ndarray:
@@ -667,16 +667,13 @@ def _make_trajectory(
     fs = system.f(states)
     k = int(np.searchsorted(-fs, -mid))
     k = min(max(k, 1), len(states) - 1)
-    if seg.sol is not None:
-        lo, hi = times[k - 1], times[k]
-        try:
-            t_mid = brentq(
-                _level_gap, lo, hi, args=(system, seg.sol, mid), xtol=1e-12
-            )
-            anchor = seg.sol(t_mid)
-        except ValueError:
-            anchor = states[k]
-    else:
+    lo, hi = times[k - 1], times[k]
+    try:
+        t_mid = brentq(
+            _level_gap, lo, hi, args=(system, seg.sol, mid), xtol=1e-12
+        )
+        anchor = seg.sol(t_mid)
+    except ValueError:
         anchor = states[k]
     if prefix is not None and len(prefix[0]):
         pre_states, pre_times = prefix

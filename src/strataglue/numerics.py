@@ -9,13 +9,15 @@ def fd_jacobian(f, x, step, order=2, directions=None):
 
     Column i differentiates along the i-th column of ``directions``
     (the unit vectors by default).  Columns are stacked on the last
-    axis, so a scalar ``f`` gives a gradient.  ``order`` is 2 (three-
+    axis, so a scalar ``f`` gives a gradient.  ``x`` may be a block of
+    (..., k) rows when ``f`` maps rows to rows; row i of the result then
+    equals the Jacobian at row i bit for bit.  ``order`` is 2 (three-
     point stencil) or 4 (five-point stencil; Fornberg, Math. Comp. 51,
     1988).
     """
     x = np.asarray(x, dtype=float)
     if directions is None:
-        directions = np.eye(len(x))
+        directions = np.eye(x.shape[-1])
     cols = []
     for i in range(directions.shape[1]):
         e = directions[:, i] * step

@@ -192,15 +192,14 @@ def enumerate_chains(poset: CriticalPoset, p: str, q: str) -> list[Chain]:
     if not poset.precedes(p, q):
         raise InputError(f"{p!r} is not above {q!r}")
     middle = sorted(pid for pid in poset.below(p) if poset.precedes(pid, q))
+    # a stack, not a recursive closure: the closure's self-reference is a
+    # cycle that keeps every call's chains alive until a full collection
     out: list[Chain] = []
-
-    def extend(prefix: list[str]) -> None:
-        out.append(Chain(tuple(prefix) + (q,)))
-        for pid in middle:
-            if poset.precedes(prefix[-1], pid):
-                extend(prefix + [pid])
-
-    extend([p])
+    stack = [(p,)]
+    while stack:
+        prefix = stack.pop()
+        out.append(Chain(prefix + (q,)))
+        stack.extend(prefix + (r,) for r in middle if poset.precedes(prefix[-1], r))
     out.sort(key=lambda c: c.points)
     return out
 

@@ -15,7 +15,7 @@ used to exercise the chart-independence of the predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -55,9 +55,6 @@ class CornerChart:
         inv = np.linalg.inv(self.matrix)
         return (w - self.offset) @ inv.T
 
-    def jacobian(self, u: np.ndarray | None = None) -> np.ndarray:
-        return self.matrix
-
     @classmethod
     def identity(cls, dim: int) -> "CornerChart":
         return cls(np.eye(dim), np.zeros(dim))
@@ -94,22 +91,25 @@ class BoxPiece:
         c = np.asarray(coords, dtype=float)[..., wall.axis]
         return wall.inward_sign * (c - self.wall_value(wall))
 
-    def contains(self, coords, tol: float = WALL_TOL) -> bool:
+    def contains(self, coords, tol: float = WALL_TOL):
+        """Whether the point, or each (..., dim) row, lies in the box."""
         c = np.asarray(coords, dtype=float)
         if c.shape[-1] != self.dim:
-            return False
+            return np.zeros(c.shape[:-1], dtype=bool)
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         per = np.array([a in self.periodic for a in range(self.dim)], dtype=bool)
-        ok_lo = (c >= lo - tol) | per
-        ok_hi = (c <= hi + tol) | per
-        return bool(np.all(ok_lo) and np.all(ok_hi))
+        return (((c >= lo - tol) & (c <= hi + tol)) | per).all(axis=-1)
 
-    def walls_at(self, coords, tol: float = WALL_TOL) -> frozenset[Wall]:
-        """Recorded walls the point lies on."""
-        return frozenset(
-            w for w in self.walls if abs(self.wall_offset(coords, w)) <= tol
-        )
+    def walls_at(self, coords, tol: float = WALL_TOL):
+        """Recorded walls the point lies on; for an (n, dim) block, a
+        list with one wall set per row, read off one (rows, walls) mask."""
+        walls = sorted(self.walls)
+        c = np.asarray(coords, dtype=float)
+        rows = np.atleast_2d(c)[:, [w.axis for w in walls]]
+        on = np.abs(rows - [self.wall_value(w) for w in walls]) <= tol
+        sets = [frozenset(w for w, hit in zip(walls, row) if hit) for row in on]
+        return sets if c.ndim > 1 else sets[0]
 
     def sample(self, count: int, rng, walls=(), margin: float = 1e-3) -> np.ndarray:
         """``count`` random rows of box coordinates, each coordinate at
@@ -186,23 +186,25 @@ class CorneredSpace:
     # -- point queries ------------------------------------------------
 
     def piece_of(self, point) -> tuple[int, np.ndarray]:
+        """Check a (piece, coords) point, or a block of (..., dim) rows on
+        one piece; the first row outside the piece is named."""
         i, coords = point
         coords = np.asarray(coords, dtype=float)
         if not 0 <= i < len(self.pieces):
             raise InputError(f"no piece {i}")
-        if not self.pieces[i].contains(coords):
-            raise InputError(f"coords {coords} outside piece {i}")
+        inside = self.pieces[i].contains(coords)
+        if not inside.all():
+            bad = coords if coords.ndim == 1 else coords[~inside][0]
+            raise InputError(f"coords {bad} outside piece {i}")
         return i, coords
 
-    def depth(self, point) -> int:
-        """Number of recorded walls the point lies on."""
+    def depth(self, point):
+        """Number of recorded walls the point, or each row, lies on."""
         i, coords = self.piece_of(point)
-        return len(self.pieces[i].walls_at(coords))
+        walls = self.pieces[i].walls_at(coords)
+        return np.array([len(w) for w in walls]) if coords.ndim > 1 else len(walls)
 
-    def stratum_membership(self, point, k: int) -> bool:
-        return self.depth(point) == k
-
-    def walls_at(self, point) -> frozenset[Wall]:
+    def walls_at(self, point):
         i, coords = self.piece_of(point)
         return self.pieces[i].walls_at(coords)
 
@@ -237,12 +239,8 @@ class CorneredSpace:
         return True, None
 
     def _piece_patches(self, i: int) -> list[StratumPatch]:
-        piece = self.pieces[i]
-        axes: dict[int, list[Wall]] = {}
-        for w in sorted(piece.walls):
-            axes.setdefault(w.axis, []).append(w)
         patches = []
-        walls = sorted(piece.walls)
+        walls = sorted(self.pieces[i].walls)
         for k in range(len(walls) + 1):
             for combo in combinations(walls, k):
                 if len({w.axis for w in combo}) != len(combo):
@@ -256,6 +254,19 @@ class CorneredSpace:
         for i in range(len(self.pieces)):
             out.extend(self._piece_patches(i))
         return out
+
+    def sample_patches(self, patches, count: int, rng):
+        """``count`` random points of the given stratum patches as (piece,
+        rows) blocks: every patch draws ceil(count / patches) rows in
+        order, and rows past ``count`` are dropped from the end."""
+        per = -(-count // max(1, len(patches)))
+        blocks, left = [], count
+        for patch in patches:
+            rows = self.pieces[patch.piece].sample(per, rng, patch.walls)[:left]
+            left -= len(rows)
+            if len(rows):
+                blocks.append((patch.piece, rows))
+        return blocks
 
     def face_intersection(self, faces) -> list[StratumPatch]:
         """Chart presentation of the intersection of the given faces.
@@ -298,7 +309,6 @@ class CorneredSpace:
         points into the piece; in chart coordinates these are the signed
         columns of the chart matrix.
         """
-        piece = self.pieces[patch.piece]
         walls = tuple(order) if order is not None else tuple(sorted(patch.walls))
         if frozenset(walls) != patch.walls:
             raise InputError("order must be a permutation of the patch walls")
@@ -319,7 +329,6 @@ class CorneredSpace:
         rng = np.random.default_rng(rng)
         if not frame.patch.walls:
             return 0.0
-        piece = self.pieces[frame.patch.piece]
         mat = self.charts[frame.patch.piece].matrix
         pinned = sorted(w.axis for w in frame.patch.walls)
         free = [a for a in range(self.dim) if a not in pinned]

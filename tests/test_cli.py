@@ -2,6 +2,7 @@
 the package's star-import surface and the names the benchmark probes."""
 
 import csv
+import gc
 import importlib.util
 import json
 from pathlib import Path
@@ -19,6 +20,9 @@ from strataglue import (
 from strataglue import cli
 from strataglue.cli import CSV_COLUMNS, main
 from strataglue.errors import NumericalError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TORUS_FILE = PERFBENCH / "data" / "torus.json"
 
 
 def test_generate_cube(tmp_path, capsys):
@@ -77,19 +81,7 @@ def test_verify_cube2_passes(tmp_path, capsys):
     assert rows and list(rows[0]) == CSV_COLUMNS
 
 
-def test_verify_is_deterministic(tmp_path):
-    for sub in ("a", "b"):
-        code = main([
-            "verify", "--family", "cube2", "--samples", "32",
-            "--seed", "7", "--out", str(tmp_path / sub),
-        ])
-        assert code == 0
-    a = (tmp_path / "a" / "verify_report.json").read_text()
-    b = (tmp_path / "b" / "verify_report.json").read_text()
-    assert a == b
-
-
-def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
+def _serve_stretched_cube3(monkeypatch):
     # the stretched family has no file form: the loader hands it over by name
     stretched = with_target_diffeo(cube_family(3), ("p0", "p3"), stretch_diffeo(2))
     load = cli._load_family
@@ -97,6 +89,49 @@ def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
         cli, "_load_family",
         lambda source: stretched if source == "stretched-cube3" else load(source),
     )
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["cube2", str(TORUS_FILE), "stretched-cube3"],
+    ids=["cube2", "torus", "stretched-cube3"],
+)
+def test_verify_is_deterministic(tmp_path, monkeypatch, source):
+    # every check draws from one seeded stream, so two runs write the
+    # same reports byte for byte
+    _serve_stretched_cube3(monkeypatch)
+    for sub in ("a", "b"):
+        code = main([
+            "verify", "--family", source, "--samples", "32",
+            "--seed", "7", "--out", str(tmp_path / sub),
+        ])
+        assert code == 0
+    for name in ("verify_report.json", "verify_report.csv"):
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        assert a == b
+
+
+def test_verify_leaves_little_to_the_cycle_collector(tmp_path, monkeypatch, capsys):
+    # the atlas with its corrected charts, the chain lists and the parser
+    # are freed by reference counting, so repeated in-process runs do not
+    # pile up garbage between full collections
+    _serve_stretched_cube3(monkeypatch)
+    argv = [
+        "verify", "--family", "stretched-cube3", "--samples", "32", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
+
+
+def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
+    _serve_stretched_cube3(monkeypatch)
     code = main([
         "verify", "--family", "stretched-cube3", "--samples", "32",
         "--out", str(tmp_path),
@@ -206,10 +241,6 @@ def test_verify_malformed_family_file_exits_2(tmp_path, capsys, spoil):
     code = main(["verify", "--family", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "input error" in capsys.readouterr().err
-
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TORUS_FILE = PERFBENCH / "data" / "torus.json"
 
 
 def _torus_map_entry(field, value):

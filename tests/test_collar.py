@@ -1,5 +1,10 @@
 """Collar atlases: construction, gluing identities, error paths."""
 
+import gc
+import weakref
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,8 @@ from strataglue import (
     glue,
     glue_differential,
     glue_pair,
+    load_family,
+    shear_diffeo,
     single_space_collars,
     stretch_diffeo,
     with_target_diffeo,
@@ -25,13 +32,20 @@ from strataglue import (
 from strataglue.collar import (
     SNAP_TOL,
     AffineChart,
+    _glue_map,
     _glue_rows,
+    _junction_residual,
+    _Junction,
+    _norms,
+    _rows_distance,
     _unglue,
     check_differential,
     check_injectivity,
     check_single_space_compat,
 )
 from strataglue.numerics import fd_jacobian
+from strataglue.params import GlueParam, zero_support_subchain
+from strataglue.spaces import CorneredSpace, StratumPatch, Wall
 
 FULL = Chain(("p0", "p1", "p2", "p3"))
 
@@ -188,6 +202,19 @@ def test_fd_jacobian_matches_polynomial_map():
     assert np.allclose(fd_jacobian(lambda w: w @ w, z, 1e-6), 2 * z, rtol=0, atol=1e-8)
 
 
+def test_fd_jacobian_rows_match_per_row(rng):
+    def f(z):
+        x, y, t = z[..., 0], z[..., 1], z[..., 2]
+        return np.stack([x**3 * y, np.sin(x * y) * t**2, y**2 - np.exp(t)], axis=-1)
+
+    Z = rng.uniform(-1.0, 1.0, size=(5, 3))
+    directions = np.array([[1.0, 0.6], [0.0, -0.8], [0.5, 0.0]])
+    for kwargs in ({"order": 2}, {"order": 4}, {"directions": directions}):
+        stacked = fd_jacobian(f, Z, 1e-4, **kwargs)
+        single = np.stack([fd_jacobian(f, z, 1e-4, **kwargs) for z in Z])
+        assert stacked.tobytes() == single.tobytes()
+
+
 # -- non-affine charts -------------------------------------------------
 
 
@@ -201,6 +228,19 @@ def stretched_atlas():
 
 def test_stretched_family_needs_corrected_charts(stretched_atlas):
     assert not stretched_atlas.is_affine_pair(("p0", "p3"))
+
+
+def test_corrected_atlas_is_freed_without_the_cycle_collector():
+    family = with_target_diffeo(cube_family(3), ("p0", "p3"), stretch_diffeo(2))
+    gc.disable()
+    try:
+        atlas = build_collars(family, rng=np.random.default_rng(2))
+        assert not atlas.is_affine_pair(("p0", "p3"))
+        ref = weakref.ref(atlas)
+        del atlas
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
@@ -373,3 +413,234 @@ def test_single_space_rejects_wrong_face_set(rng):
         subset = next(s for s in collars.face_subsets() if s)
         # locate the subset pinning the lower wall, then exceed the range
         collars.glue(subset, corner, [1.5])
+
+
+def test_single_space_block_on_two_patches_of_one_face_raises():
+    # one face made of both ends of an interval: each end alone collars
+    labels = {(0, Wall(0, 0)): "ends", (0, Wall(0, 1)): "ends"}
+    collars = single_space_collars(CorneredSpace(box_space([1.0]).pieces, face_labels=labels))
+    ends = np.array([[0.0], [1.0]])
+    for row in ends:
+        collars.glue((0,), (0, row), [0.25])
+    with pytest.raises(InputError, match="one stratum patch"):
+        collars.glue((0,), (0, ends), np.full((2, 1), 0.25))
+
+
+def test_single_space_block_with_other_faces_raises_like_first_row():
+    collars = single_space_collars(box_space([1.0, 1.0]))
+    # the two lower walls meet at the origin
+    corner = next(
+        s for s in collars.face_subsets()
+        if collars.space.face_intersection([collars.faces[i] for i in s])
+        == [StratumPatch(0, frozenset({Wall(0, 0), Wall(1, 0)}))]
+    )
+    collars.glue(corner, (0, [0.0, 0.0]), [0.1, 0.1])
+    # rows pinning the corner, one lower wall, no wall, the corner
+    rows = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(InputError) as first:
+        collars.glue(corner, (0, rows[1]), [0.1, 0.1])
+    with pytest.raises(InputError) as block:
+        collars.glue(corner, (0, rows), np.full((4, 2), 0.1))
+    assert str(block.value) == str(first.value)
+
+
+# -- oracles: the per-point loops the row-block checks replaced --------
+#
+# Each reference below is the one-point loop the check ran before it
+# took row blocks; the block form must give the same result from the
+# same random stream, and leave the stream where the loop leaves it.
+
+TORUS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "torus.json"
+
+
+def _junction_residual_loop(atlas, chart, junction, eps, samples, rng):
+    family = atlas.family
+    chain = chart.chain
+    slot = junction.slot
+    space = family.space(*chain.pair)
+    worst = 0.0
+    points = family.sample_stratum(chain, samples, rng)
+    for piece, coords in points:
+        lam = rng.uniform(0.0, eps, size=chain.length)
+        lam[slot] = 0.0
+        lhs = chart.forward(piece, coords, lam)
+        rpiece, rcoords = junction.glue(piece, coords, lam)
+        if rpiece != piece:
+            return np.inf
+        worst = max(
+            worst, float(_rows_distance(space, piece, lhs[None], rcoords[None])[0])
+        )
+    return worst
+
+
+def _stratum_condition_loop(atlas, samples, rng):
+    family = atlas.family
+    chains = [c for c in atlas.charts if c.length >= 1]
+    per = max(1, samples // len(chains))
+    failures = total = 0
+    for chain in chains:
+        eps = atlas.eps(chain)
+        space = family.space(*chain.pair)
+        pts = family.sample_stratum(chain, per, rng)
+        zero = rng.random((len(pts), chain.length)) < 0.5
+        vals = rng.uniform(0.05 * eps, 0.95 * eps, size=zero.shape)
+        vals[zero] = 0.0
+        for point, v in zip(pts, vals):
+            expect = zero_support_subchain(
+                GlueParam(chain, tuple(float(x) for x in v))
+            )
+            out = glue(atlas, chain, point, v)
+            got = family.classify(chain.pair, out)
+            total += 1
+            if got != expect or space.depth(out) != expect.length:
+                failures += 1
+    return failures, total
+
+
+def _differential_loop(atlas, chain, samples, rng):
+    family = atlas.family
+    eps = atlas.eps(chain)
+    worst = 0.0
+    for piece, coords in family.sample_stratum(chain, samples, rng):
+        v = rng.uniform(0.1 * eps, 0.9 * eps, size=chain.length)
+        jac = glue_differential(atlas, chain, (piece, coords), v)
+        f, free = _glue_map(atlas, chain, (piece, coords))
+        fd = fd_jacobian(f, np.concatenate([coords[free], v]), 1e-6)
+        for jac_col, fd_col in zip(jac.T, fd.T):
+            scale = max(1.0, float(np.linalg.norm(fd_col)))
+            worst = max(worst, float(np.linalg.norm(jac_col - fd_col)) / scale)
+    return worst
+
+
+def _single_space_compat_loop(collars, samples, rng):
+    subsets = [s for s in collars.face_subsets() if s]
+    budget = max(1, samples // max(1, sum(2 ** len(s) for s in subsets)))
+    worst = 0.0
+    for I in subsets:
+        for k in range(len(I) + 1):
+            for J in combinations(I, k):
+                points = [
+                    (piece, x)
+                    for piece, X in collars.sample_intersection(I, budget, rng)
+                    for x in X
+                ]
+                for point in points:
+                    vals = rng.uniform(0.0, 0.999, size=len(I))
+                    piece, lhs = collars.glue(I, point, vals)
+                    masked = vals.copy()
+                    jpos = [I.index(j) for j in J]
+                    masked[jpos] = 0.0
+                    mid = collars.glue(I, point, masked)
+                    _, rhs = collars.glue(J, mid, vals[jpos])
+                    d = float(np.linalg.norm(lhs - rhs))
+                    worst = max(worst, d)
+    return worst
+
+
+def _oracle_family(name):
+    if name == "torus":
+        return load_family(TORUS_FILE)
+    diffeo = {"cube3": None, "stretched": stretch_diffeo(2), "sheared": shear_diffeo(2)}[name]
+    family = cube_family(3)
+    return family if diffeo is None else with_target_diffeo(family, ("p0", "p3"), diffeo)
+
+
+@pytest.fixture(scope="module", params=["cube3", "stretched", "sheared", "torus"])
+def oracle_atlas(request):
+    return build_collars(_oracle_family(request.param), rng=np.random.default_rng(11))
+
+
+def _same_stream(seed, block, loop):
+    """Run both forms from one seed: their results and next draws."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    return (block(rng_a), rng_a.random()), (loop(rng_b), rng_b.random())
+
+
+def test_junction_residual_matches_point_loop(oracle_atlas):
+    atlas = oracle_atlas
+    checked = 0
+    for chain, chart in atlas.charts.items():
+        # the built chart, and the affine chart it started from, whose
+        # residual is not zero where a correction was needed
+        for c in (chart, AffineChart(atlas.family, chain)):
+            for slot in range(chain.length):
+                junction = _Junction(atlas, chain, slot)
+                eps = atlas.eps(chain)
+                block, loop = _same_stream(
+                    slot,
+                    lambda r: _junction_residual(atlas, c, junction, eps, 24, r),
+                    lambda r: _junction_residual_loop(atlas, c, junction, eps, 24, r),
+                )
+                assert block == loop
+                checked += 1
+    assert checked
+
+
+def test_stratum_condition_matches_point_loop(oracle_atlas):
+    block, loop = _same_stream(
+        5,
+        lambda r: check_stratum_condition(oracle_atlas, samples=600, rng=r),
+        lambda r: _stratum_condition_loop(oracle_atlas, 600, r),
+    )
+    assert block == loop
+    assert block[0][0] == 0
+
+
+class _StuckChart(AffineChart):
+    """An affine chart that ignores its first collar slot, so glued
+    points stay on that wall: a stratum-condition failure wherever the
+    slot's value is not zero."""
+
+    def forward(self, piece, x, lam):
+        lam = np.array(lam, dtype=float)
+        lam[..., 0] = 0.0
+        return super().forward(piece, x, lam)
+
+
+def test_stratum_failures_match_point_loop():
+    # the failure count depends on every zero pattern drawn, so it
+    # pins the order of the draws
+    atlas = build_collars(cube_family(3), rng=np.random.default_rng(1))
+    atlas.charts[FULL] = _StuckChart(atlas.family, FULL)
+    block, loop = _same_stream(
+        8,
+        lambda r: check_stratum_condition(atlas, samples=600, rng=r),
+        lambda r: _stratum_condition_loop(atlas, 600, r),
+    )
+    assert block == loop
+    assert 0 < block[0][0] < block[0][1]
+
+
+def test_norms_match_one_point_norm(rng):
+    for d in range(1, 9):
+        A = rng.standard_normal((200, d)) * rng.uniform(1e-8, 1.0, size=(200, d))
+        single = np.array([np.linalg.norm(a) for a in A])
+        assert _norms(A).tobytes() == single.tobytes()
+    # a strided view, as the differential check passes its columns
+    J = rng.standard_normal((50, 3, 4))
+    cols = np.swapaxes(J, 1, 2)
+    single = np.array([[np.linalg.norm(c) for c in m.T] for m in J])
+    assert _norms(cols).tobytes() == single.tobytes()
+
+
+def test_differential_matches_point_loop(oracle_atlas):
+    for chain in oracle_atlas.charts:
+        block, loop = _same_stream(
+            6,
+            lambda r: check_differential(oracle_atlas, chain, samples=6, rng=r),
+            lambda r: _differential_loop(oracle_atlas, chain, 6, r),
+        )
+        assert block == loop
+
+
+def test_single_space_compat_matches_point_loop(oracle_atlas):
+    family = oracle_atlas.family
+    top = max(family.pairs(), key=lambda pq: family.space(*pq).dim)
+    for space in (family.space(*top), box_space([1.0, 2.0, 0.5])):
+        collars = single_space_collars(space)
+        block, loop = _same_stream(
+            4,
+            lambda r: check_single_space_compat(collars, samples=300, rng=r),
+            lambda r: _single_space_compat_loop(collars, 300, r),
+        )
+        assert block == loop

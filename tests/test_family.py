@@ -56,6 +56,46 @@ def test_classify_and_sampling(cube3_family, rng):
     assert np.allclose(point[1], 0.0)
 
 
+def test_classify_rows_match_per_row(cube3_family, rng):
+    family = cube3_family
+    pair = ("p0", "p3")
+    # one block with rows of every stratum, and one on an unrecorded wall
+    rows = np.vstack(
+        [X for chain in family.chains(*pair) for _, X in family.sample_blocks(chain, 3, rng)]
+        + [[[1.0, 0.5]]]
+    )
+    assert family.classify(pair, (0, rows)) == [family.classify(pair, (0, r)) for r in rows]
+
+
+def _sample_stratum_loop(family, chain, count, rng, margin=1e-3):
+    """The per-point sampler that ``sample_blocks`` replaced."""
+    stratum = family.stratum(chain)
+    out = []
+    per = -(-count // len(stratum.patches))
+    for patch in stratum.patches:
+        for coords in family.sample_patch(chain, patch, per, rng, margin):
+            out.append((patch.piece, coords))
+    return out[:count]
+
+
+def test_sample_blocks_draw_like_the_point_loop():
+    # four patches per junction chain: counts that cut the last patch
+    # short, and that leave patches without rows
+    family = load_family(TORUS_FILE)
+    for chain in (Chain(("c0", "c1", "c3")), Chain(("c0", "c3"))):
+        for count in (1, 3, 6, 8):
+            rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+            blocks = family.sample_blocks(chain, count, rng_a)
+            loop = _sample_stratum_loop(family, chain, count, rng_b)
+            flat = [(piece, x) for piece, X in blocks for x in X]
+            assert [(p, x.tobytes()) for p, x in flat] == [(p, x.tobytes()) for p, x in loop]
+            assert all(len(X) for _, X in blocks)
+            # the stream goes on where the loop leaves it
+            assert rng_a.random() == rng_b.random()
+            points = family.sample_stratum(chain, count, np.random.default_rng(3))
+            assert [(p, x.tobytes()) for p, x in points] == [(p, x.tobytes()) for p, x in loop]
+
+
 def test_validate_cube3(cube3_family, rng):
     report = validate_family(cube3_family, samples=16, rng=rng)
     assert report.passed

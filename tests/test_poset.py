@@ -1,5 +1,7 @@
 """Posets of critical points, chains and chain combinatorics."""
 
+import gc
+
 import pytest
 
 from strataglue import (
@@ -138,6 +140,20 @@ def test_enumerate_chains_counts():
     assert Chain(("p0", "p1", "p2", "p3")) in chains
     with pytest.raises(InputError):
         enumerate_chains(poset, "p3", "p0")
+
+
+def test_enumerate_chains_leaves_no_garbage_cycles():
+    poset = total_order(5)
+    gc.collect()
+    gc.disable()
+    try:
+        chains = enumerate_chains(poset, "p0", "p4")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # one chain per subset of the three intermediate points, sorted
+    assert len(chains) == 8
+    assert chains == sorted(chains, key=lambda c: c.points)
 
 
 def test_enumerate_chains_diamond():

@@ -51,8 +51,6 @@ def test_interval_depth():
     assert space.depth((0, [0.5])) == 0
     assert space.depth((0, [0.0])) == 1
     assert space.depth((0, [1.0])) == 1
-    assert space.stratum_membership((0, [0.0]), 1)
-    assert not space.stratum_membership((0, [0.0]), 0)
 
 
 def test_square_corner_depth():
@@ -86,6 +84,30 @@ def test_circle_space_has_no_boundary():
     assert space.depth((0, [1.37])) == 0
     # periodic axis: containment ignores the nominal bounds
     assert space.pieces[0].contains([5.0])
+
+
+def test_row_queries_match_per_row():
+    # a box with some walls recorded, rows on none, one and two of them,
+    # on an unrecorded wall, and one periodic axis
+    piece = BoxPiece(
+        lower=(0.0, 0.0, 0.0), upper=(1.0, 2.0, 1.0),
+        walls=frozenset({Wall(0, 0), Wall(0, 1), Wall(1, 1)}),
+        periodic=frozenset({2}),
+    )
+    space = CorneredSpace([piece])
+    rows = np.array([
+        [0.5, 1.0, 0.5], [0.0, 1.0, 3.0], [1.0, 2.0, -1.0],
+        [0.5, 0.0, 0.5], [0.0, 2.0, 0.25], [0.5, 1e-13, 0.5],
+    ])
+    assert space.depth((0, rows)).tolist() == [space.depth((0, r)) for r in rows]
+    assert space.walls_at((0, rows)) == [space.walls_at((0, r)) for r in rows]
+    assert piece.walls_at(rows) == [piece.walls_at(r) for r in rows]
+    outside = np.vstack([rows, [[1.5, 1.0, 0.5]], [[-0.5, 1.0, 0.5]]])
+    assert piece.contains(outside).tolist() == [bool(piece.contains(r)) for r in outside]
+    assert not piece.contains(np.zeros((2, 2))).any()
+    # a block with rows outside names the first of them
+    with pytest.raises(InputError, match=r"coords \[1.5 1.  0.5\] outside piece 0"):
+        space.depth((0, outside))
 
 
 def test_point_space_components():
