@@ -31,7 +31,7 @@ chart of the relevant space.
 from __future__ import annotations
 
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -340,11 +340,6 @@ def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
     return jac
 
 
-def _rows_distance(space, piece, A, B) -> np.ndarray:
-    mat = space.charts[piece].matrix
-    return np.linalg.norm((A - B) @ mat.T, axis=1)
-
-
 def _norms(A) -> np.ndarray:
     """Norm of each row, bit for bit ``np.linalg.norm`` of the row alone
     (a dot product, which the ``axis=`` form, a pairwise sum, is not)."""
@@ -403,8 +398,7 @@ def _junction_residual(atlas, chart, junction, eps, samples, rng) -> float:
     for (piece, X), L in zip(blocks, runs):
         L[:, junction.slot] = 0.0
         lhs = chart.forward(piece, X, L)
-        _, R = junction.glue(piece, X, L)
-        worst = max(worst, float(_rows_distance(space, piece, lhs, R).max()))
+        worst = max(worst, float(space.distance((piece, lhs), junction.glue(piece, X, L)).max()))
     return worst
 
 
@@ -544,24 +538,20 @@ def check_compat_one_pair(
         j for j in range(outer.length) if j not in set(inner_idx)
     ]
     worst = 0.0
-    stratum = family.stratum(outer)
-    per = max(2, -(-samples // max(1, len(stratum.patches))))
-    for patch in stratum.patches:
-        X = family.sample_patch(outer, patch, per, rng)
+    patches = family.stratum(outer).patches
+    per = max(2, -(-samples // max(1, len(patches))))
+    for piece, X in family.sample_blocks(outer, per * len(patches), rng):
         V = rng.uniform(0.0, eps, size=(per, outer.length))
         if outer_idx:
             V[:, outer_idx] = rng.uniform(
                 0.05 * eps, 0.95 * eps, size=(per, len(outer_idx))
             )
-        lhs = _glue_rows(atlas, outer, patch.piece, X, V)
+        lhs = _glue_rows(atlas, outer, piece, X, V)
         masked = V.copy()
-        if inner_idx:
-            masked[:, inner_idx] = 0.0
-        mid = _glue_rows(atlas, outer, patch.piece, X, masked)
-        rhs = _glue_rows(atlas, inner, patch.piece, mid, V[:, inner_idx])
-        worst = max(
-            worst, float(_rows_distance(space, patch.piece, lhs, rhs).max())
-        )
+        masked[:, inner_idx] = 0.0
+        mid = _glue_rows(atlas, outer, piece, X, masked)
+        rhs = _glue_rows(atlas, inner, piece, mid, V[:, inner_idx])
+        worst = max(worst, float(space.distance((piece, lhs), (piece, rhs)).max()))
     return worst
 
 
@@ -584,23 +574,19 @@ def check_compat_concat(
     pa = family.stratum(first).patches
     pb = family.stratum(second).patches
     per = max(2, -(-samples // max(1, len(pa) * len(pb))))
-    for patch_a in pa:
-        for patch_b in pb:
-            X1 = family.sample_patch(first, patch_a, per, rng)
-            X2 = family.sample_patch(second, patch_b, per, rng)
-            V1 = rng.uniform(0.0, eps, size=(per, first.length))
-            V2 = rng.uniform(0.0, eps, size=(per, second.length))
-            piece_t, T = emb.forward((patch_a.piece, X1), (patch_b.piece, X2))
-            G1 = _glue_rows(atlas, first, patch_a.piece, X1, V1)
-            G2 = _glue_rows(atlas, second, patch_b.piece, X2, V2)
-            _, R = emb.forward((patch_a.piece, G1), (patch_b.piece, G2))
-            VJ = np.concatenate(
-                [V1, np.zeros((per, 1)), V2], axis=1
-            )
-            lhs = _glue_rows(atlas, joined, piece_t, T, VJ)
-            worst = max(
-                worst, float(_rows_distance(space, piece_t, lhs, R).max())
-            )
+    for (piece_a, X1), (piece_b, X2) in product(
+        family.sample_blocks(first, per * len(pa), rng),
+        family.sample_blocks(second, per * len(pb), rng),
+    ):
+        V1 = rng.uniform(0.0, eps, size=(per, first.length))
+        V2 = rng.uniform(0.0, eps, size=(per, second.length))
+        piece_t, T = emb.forward((piece_a, X1), (piece_b, X2))
+        G1 = _glue_rows(atlas, first, piece_a, X1, V1)
+        G2 = _glue_rows(atlas, second, piece_b, X2, V2)
+        VJ = np.concatenate([V1, np.zeros((per, 1)), V2], axis=1)
+        lhs = _glue_rows(atlas, joined, piece_t, T, VJ)
+        d = space.distance((piece_t, lhs), emb.forward((piece_a, G1), (piece_b, G2)))
+        worst = max(worst, float(d.max()))
     return worst
 
 
@@ -639,37 +625,35 @@ def check_associativity(
     eps = min(
         atlas.eps(c012), atlas.eps(c123), atlas.eps(full)
     )
+    space = family.space(p0, p3)
+    # ``samples`` points on every patch of each factor, and every
+    # sample's grid of (lam1, lam2) in one block: sample-major rows
+    factors = [
+        family.sample_blocks(c, samples * len(family.stratum(c).patches), rng)
+        for c in (Chain((p0, p1)), Chain((p1, p2)), Chain((p2, p3)))
+    ]
     lam = (np.arange(grid) + 0.5) / grid * eps
     L1, L2 = np.meshgrid(lam, lam, indexing="ij")
-    l1 = L1.ravel()[:, None]
-    l2 = L2.ravel()[:, None]
-    n = grid * grid
+    l1 = np.tile(L1.ravel(), samples)[:, None]
+    l2 = np.tile(L2.ravel(), samples)[:, None]
     worst = 0.0
-    for _ in range(samples):
-        (q1, g1), = family.sample_stratum(Chain((p0, p1)), 1, rng)
-        (q2, g2), = family.sample_stratum(Chain((p1, p2)), 1, rng)
-        (q3, g3), = family.sample_stratum(Chain((p2, p3)), 1, rng)
-        G1 = np.tile(g1, (n, 1))
-        G2 = np.tile(g2, (n, 1))
-        G3 = np.tile(g3, (n, 1))
+    for (q1, g1), (q2, g2), (q3, g3) in product(*factors):
+        G1, G2, G3 = (np.repeat(g, grid * grid, axis=0) for g in (g1, g2, g3))
         piece12, X12 = e012.forward((q1, G1), (q2, G2))
         A = _glue_rows(atlas, c012, piece12, X12, l1)
         piece_a, XA = e023.forward((piece12, A), (q3, G3))
-        lhs = _glue_rows(atlas, c023, piece_a, XA, l2)
+        lhs = (piece_a, _glue_rows(atlas, c023, piece_a, XA, l2))
         piece23, X23 = e123.forward((q2, G2), (q3, G3))
         B = _glue_rows(atlas, c123, piece23, X23, l2)
         piece_b, XB = e013.forward((q1, G1), (piece23, B))
-        rhs = _glue_rows(atlas, c013, piece_b, XB, l1)
+        rhs = (piece_b, _glue_rows(atlas, c013, piece_b, XB, l1))
         piece_f, XF = e023.forward((piece12, X12), (q3, G3))
-        both = _glue_rows(
-            atlas, full, piece_f, XF, np.concatenate([l1, l2], axis=1)
-        )
-        space = family.space(p0, p3)
+        both = (piece_f, _glue_rows(atlas, full, piece_f, XF, np.concatenate([l1, l2], axis=1)))
         worst = max(
             worst,
-            float(_rows_distance(space, piece_a, lhs, rhs).max()),
-            float(_rows_distance(space, piece_a, lhs, both).max()),
-            float(_rows_distance(space, piece_b, rhs, both).max()),
+            float(space.distance(lhs, rhs).max()),
+            float(space.distance(lhs, both).max()),
+            float(space.distance(rhs, both).max()),
         )
     return worst
 
@@ -720,13 +704,12 @@ def check_injectivity(
     rng = np.random.default_rng(rng)
     family = atlas.family
     eps = atlas.eps(chain)
-    stratum = family.stratum(chain)
-    per = max(2, samples // max(1, len(stratum.patches)))
+    patches = family.stratum(chain).patches
+    per = max(2, samples // max(1, len(patches)))
     best = np.inf
-    for patch in stratum.patches:
-        X = family.sample_patch(chain, patch, per, rng)
+    for piece, X in family.sample_blocks(chain, per * len(patches), rng):
         V = rng.uniform(0.0, eps, size=(per, chain.length))
-        out = _glue_rows(atlas, chain, patch.piece, X, V)
+        out = _glue_rows(atlas, chain, piece, X, V)
         if out.shape[1] == 0 or len(out) < 2:
             continue
         order = np.lexsort(out.T[::-1])

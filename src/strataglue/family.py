@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 import json
 
 import numpy as np
@@ -233,17 +234,6 @@ class FaceEmbedding:
                 return (li, u), (ri, np.array(w[..., axis + 1 :], dtype=float))
         raise InputError("points do not lie on one embedded wall")
 
-    def jacobian(self, left: Point, right: Point) -> np.ndarray:
-        """Central finite-difference Jacobian in box coordinates."""
-        lp, lc = left
-        rp, rc = right
-        nl = len(lc)
-
-        def f(vec):
-            return self.forward((lp, vec[:nl]), (rp, vec[nl:]))[1]
-
-        return fd_jacobian(f, np.concatenate([lc, rc]), 1e-6)
-
 
 # ---------------------------------------------------------------------
 # the family
@@ -324,32 +314,13 @@ class StratifiedFamily:
 
     # -- sampling ------------------------------------------------------
 
-    def sample_patch(
-        self, chain: Chain, patch: PatchSpec, count: int, rng, margin: float = 1e-3
-    ) -> np.ndarray:
-        """Random box coordinates in the open part of one stratum patch."""
-        piece = self.space(*chain.pair).pieces[patch.piece]
-        return piece.sample(count, rng, patch.walls, margin)
-
     def sample_blocks(self, chain: Chain, count: int, rng):
         """Random points of a chain stratum, as (piece, rows) blocks drawn
-        by ``CorneredSpace.sample_patches`` over the stratum's patches."""
+        by ``CorneredSpace.sample_patches`` over the stratum's patches;
+        ``count = per * len(patches)`` gives ``per`` rows on each patch.
+        The one sampler of strata."""
         patches = self.stratum(chain).patches
         return self.space(*chain.pair).sample_patches(patches, count, rng)
-
-    def sample_stratum(self, chain: Chain, count: int, rng):
-        """Random points of a chain stratum: ``sample_blocks`` point by point."""
-        blocks = self.sample_blocks(chain, count, rng)
-        return [(piece, coords) for piece, rows in blocks for coords in rows]
-
-    def distance(self, pair, a: Point, b: Point) -> float:
-        """Euclidean distance in the reference chart; +inf across pieces."""
-        if a[0] != b[0]:
-            return np.inf
-        space = self.space(*pair)
-        wa = space.charts[a[0]].to_ambient(a[1])
-        wb = space.charts[b[0]].to_ambient(b[1])
-        return float(np.linalg.norm(wa - wb))
 
 
 # ---------------------------------------------------------------------
@@ -393,6 +364,8 @@ def validate_family(
     Covers: the chain strata partition each space's recorded corner
     patches with matching depth; product embeddings are injective, full
     rank, stratum-correct; and embeddings cohere on triple products.
+    Sampled checks take row blocks, and the product checks run every
+    combination of factor pieces.
     """
     rng = np.random.default_rng(rng)
     report = FamilyReport()
@@ -440,72 +413,81 @@ def _check_partition(family, p, q, samples, rng, report):
     if ok:
         report.add("partition", subject, True)
     # sampled cross-check: classification and depth agree
-    worst = None
+    witness = ""
     for chain in chains:
-        for point in family.sample_stratum(chain, max(2, samples // 8), rng):
-            got = family.classify((p, q), point)
-            depth = space.depth(point)
-            if got != chain or depth != chain.length:
-                worst = f"{chain} sample classified as {got} at depth {depth}"
-                break
-    report.add("partition.sampled", subject, worst is None, witness=worst or "")
+        for block in family.sample_blocks(chain, max(2, samples // 8), rng):
+            got = family.classify((p, q), block)
+            depth = space.depth(block)
+            bad = [i for i, c in enumerate(got) if c != chain or depth[i] != chain.length]
+            if bad and not witness:
+                witness = f"{chain} sample classified as {got[bad[0]]} at depth {depth[bad[0]]}"
+    report.add("partition.sampled", subject, witness == "", witness=witness)
 
 
-def _stratum_product_samples(family, p, r, q, samples, rng):
-    """Pairs of stratum samples for every chain pair composable at r."""
-    for lc in family.chains(p, r):
-        for rc in family.chains(r, q):
-            n = max(2, samples // 16)
-            lefts = family.sample_stratum(lc, n, rng)
-            rights = family.sample_stratum(rc, n, rng)
-            for lp, rp in zip(lefts, rights):
-                yield lc, rc, lp, rp
+def _per_patch(family, chain, per, rng):
+    """``per`` random rows on every patch of a chain stratum, as blocks."""
+    return family.sample_blocks(chain, per * len(family.stratum(chain).patches), rng)
+
+
+def _pairwise(space, blocks) -> np.ndarray:
+    """Distances between all rows of the blocks, +inf across pieces."""
+    pieces = np.concatenate([np.full(len(X), piece) for piece, X in blocks])
+    rows = np.concatenate([X for _, X in blocks])
+    out = np.full((len(rows), len(rows)), np.inf)
+    for piece in np.unique(pieces):
+        on = pieces == piece
+        out[np.ix_(on, on)] = space.distance(
+            (piece, rows[on][:, None]), (piece, rows[on][None])
+        )
+    return out
 
 
 def _check_embedding(family, p, r, q, samples, rng, tol, report):
     emb = family.embedding(p, r, q)
     subject = f"({p},{r},{q})"
-    # stratum correspondence: M_I1 x M_I2 lands in M_{I1.I2}
+    n = max(2, samples // 16)
+    # stratum correspondence: M_I1 x M_I2 lands in M_{I1.I2}, checked on
+    # every pair of factor pieces
     witness = ""
-    images = []
-    for lc, rc, lp, rp in _stratum_product_samples(family, p, r, q, samples, rng):
-        image = emb.forward(lp, rp)
-        expected = concat_chains(lc, rc)
-        got = family.classify((p, q), image)
-        images.append((lp, rp, image))
-        if got != expected:
-            witness = f"{lc}*{rc} sample landed in {got}, expected {expected}"
-            break
+    products = []
+    for lc in family.chains(p, r):
+        for rc in family.chains(r, q):
+            expected = concat_chains(lc, rc)
+            lefts = _per_patch(family, lc, n, rng)
+            rights = _per_patch(family, rc, n, rng)
+            for left, right in product(lefts, rights):
+                image = emb.forward(left, right)
+                products.append((left, right, image))
+                wrong = [c for c in family.classify((p, q), image) if c != expected]
+                if wrong and not witness:
+                    witness = f"{lc}*{rc} sample landed in {wrong[0]}, expected {expected}"
     report.add("embedding.stratum", subject, witness == "", witness=witness)
     # injectivity on samples (only pairs with genuinely distinct inputs)
-    witness = ""
-    seen = []
-    for lp, rp, img in images:
-        for lo, ro, other in seen:
-            same_in = (
-                family.distance((p, r), lp, lo) < 1e-9
-                and family.distance((r, q), rp, ro) < 1e-9
-            )
-            if not same_in and family.distance((p, q), img, other) < 1e-12:
-                witness = "two distinct products map to one point"
-        seen.append((lp, rp, img))
-    report.add("embedding.injective", subject, witness == "", witness=witness)
+    clash = False
+    if products:
+        lefts, rights, images = zip(*products)
+        same_in = (_pairwise(family.space(p, r), lefts) < 1e-9) & (
+            _pairwise(family.space(r, q), rights) < 1e-9
+        )
+        clash = ((_pairwise(family.space(p, q), images) < 1e-12) & ~same_in).any()
+    report.add("embedding.injective", subject, not clash,
+               witness="two distinct products map to one point" if clash else "")
     # full-rank differential at interior samples
-    lc = Chain((p, r))
-    rc = Chain((r, q))
-    worst = np.inf
-    in_dim = family.space(p, r).dim + family.space(r, q).dim
-    if in_dim > 0:
-        for lp, rp in zip(
-            family.sample_stratum(lc, 4, rng), family.sample_stratum(rc, 4, rng)
-        ):
-            jac = emb.jacobian(lp, rp)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            worst = min(worst, float(sv[-1]))
-        report.add("embedding.rank", subject, worst > 1e-9, residual=worst,
-                   witness="" if worst > 1e-9 else f"smallest singular value {worst:.2e}")
-    else:
+    nl = family.space(p, r).dim
+    if nl + family.space(r, q).dim == 0:
         report.add("embedding.rank", subject, True)
+        return
+    worst = np.inf
+    for (lp, L), (rp, R) in product(
+        _per_patch(family, Chain((p, r)), 4, rng), _per_patch(family, Chain((r, q)), 4, rng)
+    ):
+        def f(z):
+            return emb.forward((lp, z[..., :nl]), (rp, z[..., nl:]))[1]
+
+        jac = fd_jacobian(f, np.concatenate([L, R], axis=-1), 1e-6)
+        worst = min(worst, float(np.linalg.svd(jac, compute_uv=False)[:, -1].min()))
+    report.add("embedding.rank", subject, worst > 1e-9, residual=worst,
+               witness="" if worst > 1e-9 else f"smallest singular value {worst:.2e}")
 
 
 def _check_coherence(family, samples, rng, tol, report):
@@ -515,22 +497,20 @@ def _check_coherence(family, samples, rng, tol, report):
             if s2 == s and q2 == q and (p, r, q) in family.embeddings:
                 if (s, r, q) in family.embeddings and (p, s, r) in family.embeddings:
                     quads.append((p, s, r, q))
+    n = max(2, samples // 16)
     for p, s, r, q in sorted(set(quads)):
         subject = f"({p},{s},{r},{q})"
         worst = 0.0
         witness = ""
-        n = max(2, samples // 16)
-        us = family.sample_stratum(Chain((p, s)), n, rng)
-        vs = family.sample_stratum(Chain((s, r)), n, rng)
-        ws = family.sample_stratum(Chain((r, q)), n, rng)
-        for u, v, w in zip(us, vs, ws):
+        factors = [_per_patch(family, Chain(pair), n, rng) for pair in ((p, s), (s, r), (r, q))]
+        for u, v, w in product(*factors):
             left = family.embedding(p, r, q).forward(
                 family.embedding(p, s, r).forward(u, v), w
             )
             right = family.embedding(p, s, q).forward(
                 u, family.embedding(s, r, q).forward(v, w)
             )
-            d = family.distance((p, q), left, right)
+            d = float(family.space(p, q).distance(left, right).max())
             if d > worst:
                 worst = d
                 if d > tol:

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InputError
 
 #: tolerance for deciding that a coordinate sits on a wall
 WALL_TOL = 1e-12
+
+#: sampled coordinates stay this fraction of their side inside the box
+SAMPLE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True, order=True)
@@ -111,13 +113,13 @@ class BoxPiece:
         sets = [frozenset(w for w, hit in zip(walls, row) if hit) for row in on]
         return sets if c.ndim > 1 else sets[0]
 
-    def sample(self, count: int, rng, walls=(), margin: float = 1e-3) -> np.ndarray:
+    def sample(self, count: int, rng, walls=()) -> np.ndarray:
         """``count`` random rows of box coordinates, each coordinate at
-        least ``margin`` of its side inside the box, then pinned to the
-        given walls."""
+        least ``SAMPLE_MARGIN`` of its side inside the box, then pinned to
+        the given walls."""
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
-        u = rng.uniform(margin, 1 - margin, size=(count, self.dim))
+        u = rng.uniform(SAMPLE_MARGIN, 1 - SAMPLE_MARGIN, size=(count, self.dim))
         coords = lo + (hi - lo) * u
         for w in walls:
             coords[:, w.axis] = self.wall_value(w)
@@ -211,6 +213,15 @@ class CorneredSpace:
     def to_ambient(self, point) -> np.ndarray:
         i, coords = self.piece_of(point)
         return self.charts[i].to_ambient(coords)
+
+    def distance(self, a, b) -> np.ndarray:
+        """Euclidean distance in the reference chart between two points,
+        or row by row between two blocks of rows on one piece each;
+        +inf across pieces.  Broadcasts like the coordinate arrays."""
+        diff = np.asarray(a[1], dtype=float) - np.asarray(b[1], dtype=float)
+        if a[0] != b[0]:
+            return np.full(diff.shape[:-1], np.inf)
+        return np.linalg.norm(diff @ self.charts[a[0]].matrix.T, axis=-1)
 
     # -- faces ---------------------------------------------------------
 
@@ -322,36 +333,34 @@ class CorneredSpace:
                           rng=None, tol: float = 1e-9) -> float:
         """Max residual of nonnegative representations in the frame.
 
-        Samples inward vectors of the tangent sector at the patch,
-        projects out the stratum tangent directions, and solves a
-        nonnegative least squares problem in the projected frame.
+        Samples a block of inward vectors of the tangent sector at the
+        patch and projects out the stratum tangent directions.  The
+        projected frame is a basis of the normal space, so each vector's
+        representation in it is unique: it is solved for exactly, and
+        the residual is that of its coefficients clipped at zero, which
+        vanishes exactly when the vector lies in the frame's cone.
         """
         rng = np.random.default_rng(rng)
         if not frame.patch.walls:
             return 0.0
         mat = self.charts[frame.patch.piece].matrix
-        pinned = sorted(w.axis for w in frame.patch.walls)
+        walls = sorted(frame.patch.walls)
+        pinned = [w.axis for w in walls]
         free = [a for a in range(self.dim) if a not in pinned]
-        signs = {w.axis: w.inward_sign for w in frame.patch.walls}
         # projection onto the normal space, in chart coordinates:
         # kill the free (tangent) columns of the chart matrix
-        tangent = mat[:, free] if free else np.zeros((self.dim, 0))
-        q, _ = np.linalg.qr(tangent) if free else (np.zeros((self.dim, 0)), None)
-        def project(v):
-            return v - q @ (q.T @ v) if free else v
-        basis = np.stack([project(v) for v in frame.vectors]).T  # (dim, k)
-        worst = 0.0
-        for _ in range(samples):
-            coeffs = rng.uniform(0.0, 1.0, size=len(pinned))
-            tang = rng.uniform(-1.0, 1.0, size=len(free))
-            v = np.zeros(self.dim)
-            for c, a in zip(coeffs, pinned):
-                v += c * signs[a] * mat[:, a]
-            for c, a in zip(tang, free):
-                v += c * mat[:, a]
-            target = project(v)
-            _, res = nnls(basis, target)
-            worst = max(worst, res)
+        q = np.linalg.qr(mat[:, free])[0]
+
+        def project(V):
+            return V - (V @ q) @ q.T
+        coeffs = rng.uniform(0.0, 1.0, size=(samples, len(pinned)))
+        tang = rng.uniform(-1.0, 1.0, size=(samples, len(free)))
+        signs = np.array([w.inward_sign for w in walls])
+        targets = project((coeffs * signs) @ mat[:, pinned].T + tang @ mat[:, free].T)
+        basis = project(frame.vectors)  # (k, dim)
+        exact = np.linalg.lstsq(basis.T, targets.T, rcond=None)[0]
+        res = np.linalg.norm(np.maximum(exact, 0.0).T @ basis - targets, axis=-1)
+        worst = float(res.max(initial=0.0))
         if worst > tol:
             raise InputError(f"frame cone residual {worst:.3e} exceeds {tol}")
         return worst

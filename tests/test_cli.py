@@ -1,6 +1,7 @@
 """Entry points: the command line (subcommands, reports, exit codes),
 the package's star-import surface and the names the benchmark probes."""
 
+import ast
 import csv
 import gc
 import importlib.util
@@ -22,6 +23,7 @@ from strataglue.cli import CSV_COLUMNS, main
 from strataglue.errors import NumericalError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "strataglue"
 TORUS_FILE = PERFBENCH / "data" / "torus.json"
 
 
@@ -420,3 +422,21 @@ def test_every_benchmark_probe_resolves():
         assert tracer.absent == {}
     finally:
         tracer.uninstall()
+
+
+def test_only_the_flow_integrators_import_scipy():
+    # the collar side stays numpy-only; morse.py and dop853.py are the
+    # integrators and may still use scipy
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.append(path.name)
+    assert len(list(PACKAGE.glob("*.py"))) > 5
+    assert set(importers) <= {"morse.py", "dop853.py"}, importers

@@ -2,7 +2,7 @@
 
 import gc
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from strataglue import (
     check_compat_concat,
     check_compat_one_pair,
     check_stratum_condition,
+    concat_chains,
     cube_family,
     glue,
     glue_differential,
@@ -37,7 +38,6 @@ from strataglue.collar import (
     _junction_residual,
     _Junction,
     _norms,
-    _rows_distance,
     _unglue,
     check_differential,
     check_injectivity,
@@ -48,6 +48,16 @@ from strataglue.params import GlueParam, zero_support_subchain
 from strataglue.spaces import CorneredSpace, StratumPatch, Wall
 
 FULL = Chain(("p0", "p1", "p2", "p3"))
+
+
+def _points(blocks):
+    """(piece, rows) blocks flattened to (piece, coords) points in row order."""
+    return [(piece, x) for piece, X in blocks for x in X]
+
+
+def _patch_rows(family, chain, patch, count, rng):
+    """``count`` random rows of one stratum patch."""
+    return family.space(*chain.pair).pieces[patch.piece].sample(count, rng, patch.walls)
 
 
 # -- construction ------------------------------------------------------
@@ -85,14 +95,14 @@ def test_build_validates_family_first(rng):
 
 
 def test_zero_values_return_point_exactly(cube3_atlas, rng):
-    (point,) = cube3_atlas.family.sample_stratum(FULL, 1, rng)
+    (point,) = _points(cube3_atlas.family.sample_blocks(FULL, 1, rng))
     piece, out = glue(cube3_atlas, FULL, point, np.zeros(2))
     assert piece == point[0]
     assert np.array_equal(out, np.asarray(point[1], dtype=float))
 
 
 def test_glue_moves_off_each_wall(cube3_atlas, rng):
-    (point,) = cube3_atlas.family.sample_stratum(FULL, 1, rng)
+    (point,) = _points(cube3_atlas.family.sample_blocks(FULL, 1, rng))
     eps = cube3_atlas.eps(FULL)
     piece, out = glue(cube3_atlas, FULL, point, [0.3 * eps, 0.7 * eps])
     space = cube3_atlas.family.space("p0", "p3")
@@ -100,7 +110,7 @@ def test_glue_moves_off_each_wall(cube3_atlas, rng):
 
 
 def test_glue_range_checks(cube3_atlas, rng):
-    (point,) = cube3_atlas.family.sample_stratum(FULL, 1, rng)
+    (point,) = _points(cube3_atlas.family.sample_blocks(FULL, 1, rng))
     eps = cube3_atlas.eps(FULL)
     with pytest.raises(RangeError):
         glue(cube3_atlas, FULL, point, [eps, 0.0])
@@ -111,9 +121,7 @@ def test_glue_range_checks(cube3_atlas, rng):
 
 
 def test_glue_rejects_wrong_stratum(cube3_atlas, rng):
-    (point,) = cube3_atlas.family.sample_stratum(
-        Chain(("p0", "p1", "p3")), 1, rng
-    )
+    (point,) = _points(cube3_atlas.family.sample_blocks(Chain(("p0", "p1", "p3")), 1, rng))
     with pytest.raises(InputError):
         glue(cube3_atlas, FULL, point, np.zeros(2))
 
@@ -170,7 +178,7 @@ def test_injectivity(cube3_atlas, rng):
 def test_differential_matches_finite_differences(cube3_atlas, rng):
     res = check_differential(cube3_atlas, FULL, samples=4, rng=rng)
     assert res < 1e-5
-    (point,) = cube3_atlas.family.sample_stratum(FULL, 1, rng)
+    (point,) = _points(cube3_atlas.family.sample_blocks(FULL, 1, rng))
     jac = glue_differential(cube3_atlas, FULL, point, np.array([0.1, 0.1]))
     assert jac.shape == (2, 2)
     # affine route: the differential is a signed permutation
@@ -249,7 +257,7 @@ def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
     chains = [FULL, Chain(("p0", "p2", "p3")), Chain(("p0", "p1", "p2"))]
     for chain in chains:
         patch = family.stratum(chain).patches[0]
-        X = family.sample_patch(chain, patch, 5, rng)
+        X = _patch_rows(family, chain, patch, 5, rng)
         V = rng.uniform(0.0, stretched_atlas.eps(chain), size=(5, chain.length))
         V[0] = 0.0
         V[1, -1] = 0.0
@@ -273,7 +281,7 @@ def test_stacked_charts_match_per_row(stretched_atlas, rng):
     for chart in charts:
         eps = stretched_atlas.eps(chart.chain)
         for patch in family.stratum(chart.chain).patches:
-            X = family.sample_patch(chart.chain, patch, 4, rng)
+            X = _patch_rows(family, chart.chain, patch, 4, rng)
             lam = rng.uniform(0.05 * eps, 0.95 * eps, size=(4, chart.chain.length))
             # all slots zero, the corrected slot zero, all slots positive
             lam[0] = 0.0
@@ -291,7 +299,7 @@ def test_unglue_inverts_glue(stretched_atlas, rng):
     family = stretched_atlas.family
     for chain in [FULL, Chain(("p0", "p2", "p3")), Chain(("p0", "p1", "p2"))]:
         patch = family.stratum(chain).patches[0]
-        X = family.sample_patch(chain, patch, 4, rng)
+        X = _patch_rows(family, chain, patch, 4, rng)
         V = rng.uniform(0.0, stretched_atlas.eps(chain), size=(4, chain.length))
         V[0] = 0.0
         V[1, 0] = 0.0
@@ -352,7 +360,7 @@ def test_corrected_inverse_matches_newton(size):
         # all positive, the corrected slot zero, one other slot zero, all zero
         zeros = [[], [chart.slot], [(chart.slot + 1) % n], list(range(n))]
         for patch in family.stratum(chart.chain).patches:
-            X = family.sample_patch(chart.chain, patch, len(zeros), rng)
+            X = _patch_rows(family, chart.chain, patch, len(zeros), rng)
             for x, zero in zip(X, zeros):
                 lam = rng.uniform(0.05 * eps, 0.95 * eps, size=n)
                 lam[zero] = 0.0
@@ -459,17 +467,11 @@ def _junction_residual_loop(atlas, chart, junction, eps, samples, rng):
     slot = junction.slot
     space = family.space(*chain.pair)
     worst = 0.0
-    points = family.sample_stratum(chain, samples, rng)
-    for piece, coords in points:
+    for piece, coords in _points(family.sample_blocks(chain, samples, rng)):
         lam = rng.uniform(0.0, eps, size=chain.length)
         lam[slot] = 0.0
         lhs = chart.forward(piece, coords, lam)
-        rpiece, rcoords = junction.glue(piece, coords, lam)
-        if rpiece != piece:
-            return np.inf
-        worst = max(
-            worst, float(_rows_distance(space, piece, lhs[None], rcoords[None])[0])
-        )
+        worst = max(worst, float(space.distance((piece, lhs), junction.glue(piece, coords, lam))))
     return worst
 
 
@@ -481,7 +483,7 @@ def _stratum_condition_loop(atlas, samples, rng):
     for chain in chains:
         eps = atlas.eps(chain)
         space = family.space(*chain.pair)
-        pts = family.sample_stratum(chain, per, rng)
+        pts = _points(family.sample_blocks(chain, per, rng))
         zero = rng.random((len(pts), chain.length)) < 0.5
         vals = rng.uniform(0.05 * eps, 0.95 * eps, size=zero.shape)
         vals[zero] = 0.0
@@ -501,7 +503,7 @@ def _differential_loop(atlas, chain, samples, rng):
     family = atlas.family
     eps = atlas.eps(chain)
     worst = 0.0
-    for piece, coords in family.sample_stratum(chain, samples, rng):
+    for piece, coords in _points(family.sample_blocks(chain, samples, rng)):
         v = rng.uniform(0.1 * eps, 0.9 * eps, size=chain.length)
         jac = glue_differential(atlas, chain, (piece, coords), v)
         f, free = _glue_map(atlas, chain, (piece, coords))
@@ -537,15 +539,112 @@ def _single_space_compat_loop(collars, samples, rng):
     return worst
 
 
+def _nested_loop(atlas, outer, inner, samples, rng):
+    family = atlas.family
+    eps = atlas.eps(outer)
+    space = family.space(*outer.pair)
+    inner_idx = [outer.interior.index(r) for r in inner.interior]
+    outer_idx = [j for j in range(outer.length) if j not in inner_idx]
+    patches = family.stratum(outer).patches
+    per = max(2, -(-samples // len(patches)))
+    worst = 0.0
+    for piece, X in family.sample_blocks(outer, per * len(patches), rng):
+        V = rng.uniform(0.0, eps, size=(per, outer.length))
+        if outer_idx:
+            V[:, outer_idx] = rng.uniform(0.05 * eps, 0.95 * eps, size=(per, len(outer_idx)))
+        for x, v in zip(X, V):
+            lhs = glue(atlas, outer, (piece, x), v)
+            masked = v.copy()
+            masked[inner_idx] = 0.0
+            rhs = glue(atlas, inner, glue(atlas, outer, (piece, x), masked), v[inner_idx])
+            worst = max(worst, float(space.distance(lhs, rhs)))
+    return worst
+
+
+def _concat_loop(atlas, first, second, samples, rng):
+    family = atlas.family
+    joined = concat_chains(first, second)
+    emb = family.embedding(first.head, first.tail, second.tail)
+    eps = atlas.eps(joined)
+    space = family.space(*joined.pair)
+    pa, pb = family.stratum(first).patches, family.stratum(second).patches
+    per = max(2, -(-samples // (len(pa) * len(pb))))
+    lefts = family.sample_blocks(first, per * len(pa), rng)
+    rights = family.sample_blocks(second, per * len(pb), rng)
+    worst = 0.0
+    for (piece_a, X1), (piece_b, X2) in product(lefts, rights):
+        V1 = rng.uniform(0.0, eps, size=(per, first.length))
+        V2 = rng.uniform(0.0, eps, size=(per, second.length))
+        for x1, x2, v1, v2 in zip(X1, X2, V1, V2):
+            x = emb.forward((piece_a, x1), (piece_b, x2))
+            lhs = glue(atlas, joined, x, np.concatenate([v1, [0.0], v2]))
+            rhs = emb.forward(
+                glue(atlas, first, (piece_a, x1), v1), glue(atlas, second, (piece_b, x2), v2)
+            )
+            worst = max(worst, float(space.distance(lhs, rhs)))
+    return worst
+
+
+def _associativity_loop(atlas, quad, samples, grid, rng):
+    family = atlas.family
+    p0, p1, p2, p3 = quad
+    factors = [Chain(quad[i : i + 2]) for i in range(3)]
+    blocks = [
+        family.sample_blocks(c, samples * len(family.stratum(c).patches), rng) for c in factors
+    ]
+    eps = min(atlas.eps(Chain(quad[:3])), atlas.eps(Chain(quad[1:])), atlas.eps(Chain(quad)))
+    lam = (np.arange(grid) + 0.5) / grid * eps
+    e012, e023 = family.embedding(p0, p1, p2), family.embedding(p0, p2, p3)
+    space = family.space(p0, p3)
+    worst = 0.0
+    for combo in product(*blocks):
+        for g1, g2, g3 in zip(*(_points([b]) for b in combo)):
+            for l1 in lam:
+                for l2 in lam:
+                    a = glue_pair(atlas, (p0, p1, p2), g1, g2, l1)
+                    lhs = glue_pair(atlas, (p0, p2, p3), a, g3, l2)
+                    b = glue_pair(atlas, (p1, p2, p3), g2, g3, l2)
+                    rhs = glue_pair(atlas, (p0, p1, p3), g1, b, l1)
+                    x = e023.forward(e012.forward(g1, g2), g3)
+                    both = glue(atlas, Chain(quad), x, [l1, l2])
+                    worst = max(
+                        worst,
+                        float(space.distance(lhs, rhs)),
+                        float(space.distance(lhs, both)),
+                        float(space.distance(rhs, both)),
+                    )
+    return worst
+
+
+def _injectivity_loop(atlas, chain, samples, rng):
+    family = atlas.family
+    eps = atlas.eps(chain)
+    patches = family.stratum(chain).patches
+    per = max(2, samples // len(patches))
+    best = np.inf
+    for piece, X in family.sample_blocks(chain, per * len(patches), rng):
+        V = rng.uniform(0.0, eps, size=(per, chain.length))
+        out = [glue(atlas, chain, (piece, x), v)[1] for x, v in zip(X, V)]
+        if not out[0].size:
+            continue
+        # lexicographic order, then the gap to each row's successor
+        out.sort(key=tuple)
+        for a, b in zip(out, out[1:]):
+            best = min(best, float(np.linalg.norm(b - a, axis=-1)))
+    return best
+
+
 def _oracle_family(name):
     if name == "torus":
         return load_family(TORUS_FILE)
+    if name == "cube5":
+        return cube_family(5)
     diffeo = {"cube3": None, "stretched": stretch_diffeo(2), "sheared": shear_diffeo(2)}[name]
     family = cube_family(3)
     return family if diffeo is None else with_target_diffeo(family, ("p0", "p3"), diffeo)
 
 
-@pytest.fixture(scope="module", params=["cube3", "stretched", "sheared", "torus"])
+@pytest.fixture(scope="module", params=["cube3", "stretched", "sheared", "cube5", "torus"])
 def oracle_atlas(request):
     return build_collars(_oracle_family(request.param), rng=np.random.default_rng(11))
 
@@ -644,3 +743,116 @@ def test_single_space_compat_matches_point_loop(oracle_atlas):
             lambda r: _single_space_compat_loop(collars, 300, r),
         )
         assert block == loop
+
+
+def test_nested_matches_point_loop(oracle_atlas):
+    checked = 0
+    for outer in oracle_atlas.charts:
+        for k in range(outer.length + 1):
+            for kept in combinations(outer.interior, k):
+                inner = Chain((outer.head, *kept, outer.tail))
+                block, loop = _same_stream(
+                    k,
+                    lambda r: check_compat_one_pair(oracle_atlas, outer, inner, samples=8, rng=r),
+                    lambda r: _nested_loop(oracle_atlas, outer, inner, 8, r),
+                )
+                assert block == loop
+                checked += 1
+    assert checked
+
+
+def test_concat_matches_point_loop(oracle_atlas):
+    family = oracle_atlas.family
+    checked = 0
+    for p, r, q in family.triples():
+        for first in family.chains(p, r):
+            for second in family.chains(r, q):
+                block, loop = _same_stream(
+                    2,
+                    lambda g: check_compat_concat(oracle_atlas, first, second, samples=8, rng=g),
+                    lambda g: _concat_loop(oracle_atlas, first, second, 8, g),
+                )
+                assert block == loop
+                checked += 1
+    assert checked
+
+
+def test_associativity_matches_point_loop(oracle_atlas):
+    family = oracle_atlas.family
+    quads = {c.points for pq in family.pairs() for c in family.chains(*pq) if c.length == 2}
+    for quad in sorted(quads):
+        block, loop = _same_stream(
+            3,
+            lambda r: check_associativity(oracle_atlas, quad, samples=3, grid=3, rng=r),
+            lambda r: _associativity_loop(oracle_atlas, quad, 3, 3, r),
+        )
+        assert block == loop
+        assert block[0] < 1e-9
+
+
+def test_injectivity_matches_point_loop(oracle_atlas):
+    for chain in oracle_atlas.charts:
+        block, loop = _same_stream(
+            1,
+            lambda r: check_injectivity(oracle_atlas, chain, samples=40, rng=r),
+            lambda r: _injectivity_loop(oracle_atlas, chain, 40, r),
+        )
+        assert block == loop
+        assert block[0] > 0
+
+
+
+class _WarpedChart(AffineChart):
+    """An affine chart that stretches each collar value t by 0.3 t (1 - t)
+    times the mean collar value, which keeps [0, 1].  The cube families'
+    routes read the sampled coordinates as collar values, so the
+    identities fail by amounts that depend on every point drawn."""
+
+    def forward(self, piece, x, lam):
+        lam = np.asarray(lam, dtype=float)
+        mean = lam.mean(axis=-1, keepdims=True)
+        return super().forward(piece, x, lam + 0.3 * lam * (1.0 - lam) * mean)
+
+
+@pytest.fixture(scope="module")
+def warped_atlas():
+    atlas = build_collars(cube_family(5), rng=np.random.default_rng(11))
+    for chain in atlas.charts:
+        atlas.charts[chain] = _WarpedChart(atlas.family, chain)
+    return atlas
+
+
+def test_identity_checks_match_point_loops_on_warped_charts(warped_atlas):
+    # every residual depends on the points drawn, so equal results pin
+    # which draw meets which factor, sample and collar value
+    atlas = warped_atlas
+    family = atlas.family
+    results = []
+    outer = Chain(("p0", "p1", "p3", "p5"))
+    for inner in (Chain(("p0", "p1", "p5")), Chain(("p0", "p3", "p5"))):
+        block, loop = _same_stream(
+            4,
+            lambda r: check_compat_one_pair(atlas, outer, inner, samples=6, rng=r),
+            lambda r: _nested_loop(atlas, outer, inner, 6, r),
+        )
+        results.append((block, loop))
+    for first, second in ((Chain(("p0", "p1", "p2")), Chain(("p2", "p4", "p5"))),
+                          (Chain(("p0", "p1", "p3")), Chain(("p3", "p4", "p5")))):
+        block, loop = _same_stream(
+            5,
+            lambda r: check_compat_concat(atlas, first, second, samples=6, rng=r),
+            lambda r: _concat_loop(atlas, first, second, 6, r),
+        )
+        results.append((block, loop))
+    quads = {c.points for pq in family.pairs() for c in family.chains(*pq) if c.length == 2}
+    for quad in sorted(quads):
+        block, loop = _same_stream(
+            6,
+            lambda r: check_associativity(atlas, quad, samples=3, grid=3, rng=r),
+            lambda r: _associativity_loop(atlas, quad, 3, 3, r),
+        )
+        results.append((block, loop))
+    for block, loop in results:
+        assert block == loop
+    assert all(block[0] > 1e-6 for block, _ in results[:4])
+    assert sum(block[0] > 1e-6 for block, _ in results[4:]) >= 10

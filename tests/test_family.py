@@ -1,5 +1,7 @@
 """Stratified families: generators, validation, mutations, file format."""
 
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,9 @@ from strataglue import (
     with_flipped_embedding,
     with_target_diffeo,
 )
-from strataglue.family import ArcData, ArcEnd, PairModuli
+from strataglue.family import ArcData, ArcEnd, FaceEmbedding, PairModuli
+from strataglue.numerics import fd_jacobian
+from strataglue.poset import concat_chains
 
 #: an exported torus family: four arcs, two 4-entry point-pair maps
 TORUS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "torus.json"
@@ -45,14 +49,19 @@ def test_cube_size_limits():
         cube_family(6)
 
 
+def _points(blocks):
+    """(piece, rows) blocks flattened to (piece, coords) points in row order."""
+    return [(piece, x) for piece, X in blocks for x in X]
+
+
 def test_classify_and_sampling(cube3_family, rng):
     family = cube3_family
     full = Chain(("p0", "p1", "p2", "p3"))
     for chain in family.chains("p0", "p3"):
-        for point in family.sample_stratum(chain, 8, rng):
+        for point in _points(family.sample_blocks(chain, 8, rng)):
             assert family.classify(("p0", "p3"), point) == chain
     # the deepest stratum pins every wall
-    (point,) = family.sample_stratum(full, 1, rng)
+    (point,) = _points(family.sample_blocks(full, 1, rng))
     assert np.allclose(point[1], 0.0)
 
 
@@ -67,13 +76,14 @@ def test_classify_rows_match_per_row(cube3_family, rng):
     assert family.classify(pair, (0, rows)) == [family.classify(pair, (0, r)) for r in rows]
 
 
-def _sample_stratum_loop(family, chain, count, rng, margin=1e-3):
+def _sample_stratum_loop(family, chain, count, rng):
     """The per-point sampler that ``sample_blocks`` replaced."""
     stratum = family.stratum(chain)
+    pieces = family.space(*chain.pair).pieces
     out = []
     per = -(-count // len(stratum.patches))
     for patch in stratum.patches:
-        for coords in family.sample_patch(chain, patch, per, rng, margin):
+        for coords in pieces[patch.piece].sample(per, rng, patch.walls):
             out.append((patch.piece, coords))
     return out[:count]
 
@@ -87,13 +97,31 @@ def test_sample_blocks_draw_like_the_point_loop():
             rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
             blocks = family.sample_blocks(chain, count, rng_a)
             loop = _sample_stratum_loop(family, chain, count, rng_b)
-            flat = [(piece, x) for piece, X in blocks for x in X]
+            flat = _points(blocks)
             assert [(p, x.tobytes()) for p, x in flat] == [(p, x.tobytes()) for p, x in loop]
             assert all(len(X) for _, X in blocks)
             # the stream goes on where the loop leaves it
             assert rng_a.random() == rng_b.random()
-            points = family.sample_stratum(chain, count, np.random.default_rng(3))
-            assert [(p, x.tobytes()) for p, x in points] == [(p, x.tobytes()) for p, x in loop]
+        # per rows on each of the four patches
+        blocks = family.sample_blocks(chain, 3 * 4, np.random.default_rng(3))
+        assert [len(X) for _, X in blocks] == [3] * 4
+
+
+def test_validation_sends_every_piece_pair_through_each_embedding(monkeypatch):
+    # the torus file's embeddings map four pairs of factor pieces each;
+    # zipping the factors' samples row by row reached only two of them
+    family = load_family(TORUS_FILE)
+    used = {}
+    forward = FaceEmbedding.forward
+
+    def spy(self, left, right):
+        used.setdefault(id(self), set()).add((left[0], right[0]))
+        return forward(self, left, right)
+
+    monkeypatch.setattr(FaceEmbedding, "forward", spy)
+    assert validate_family(family, samples=64, rng=np.random.default_rng(0)).passed
+    for triple, emb in family.embeddings.items():
+        assert used.get(id(emb)) == set(emb.piece_map), triple
 
 
 def test_validate_cube3(cube3_family, rng):
@@ -189,8 +217,8 @@ def test_stacked_forward_matches_per_row(name, rng):
     lc, rc = Chain((p, r)), Chain((r, q))
     for lpatch in family.stratum(lc).patches:
         for rpatch in family.stratum(rc).patches:
-            L = family.sample_patch(lc, lpatch, 6, rng)
-            R = family.sample_patch(rc, rpatch, 6, rng)
+            L = family.space(p, r).pieces[lpatch.piece].sample(6, rng, lpatch.walls)
+            R = family.space(r, q).pieces[rpatch.piece].sample(6, rng, rpatch.walls)
             piece, rows = emb.forward((lpatch.piece, L), (rpatch.piece, R))
             single = [
                 emb.forward((lpatch.piece, u), (rpatch.piece, v)) for u, v in zip(L, R)
@@ -311,3 +339,140 @@ def test_from_morse_rejects_empty_moduli():
     with pytest.raises(InputError):
         from_morse([CriticalPoint("p", 1), CriticalPoint("q", 0)],
                    [("p", "q")], moduli)
+
+
+# -- oracle: the per-point loops the row-block validation replaced -----
+
+SAMPLED = (
+    "partition.sampled", "embedding.stratum", "embedding.injective",
+    "embedding.rank", "embedding.coherence",
+)
+
+
+def _validate_loop(family, samples, rng, tol):
+    """The sampled checks of ``validate_family`` point by point, in its
+    draw order: one (name, subject, passed, residual, witness) per record."""
+    records = []
+
+    def per_patch(chain, per):
+        return family.sample_blocks(chain, per * len(family.stratum(chain).patches), rng)
+
+    for p, q in family.pairs():
+        space = family.space(p, q)
+        witness = ""
+        for chain in family.chains(p, q):
+            for point in _points(family.sample_blocks(chain, max(2, samples // 8), rng)):
+                got, depth = family.classify((p, q), point), space.depth(point)
+                if (got != chain or depth != chain.length) and not witness:
+                    witness = f"{chain} sample classified as {got} at depth {depth}"
+        records.append(("partition.sampled", f"({p},{q})", witness == "", 0.0, witness))
+    n = max(2, samples // 16)
+    for p, r, q in family.triples():
+        emb = family.embedding(p, r, q)
+        subject = f"({p},{r},{q})"
+        witness = ""
+        seen = []
+        for lc in family.chains(p, r):
+            for rc in family.chains(r, q):
+                expected = concat_chains(lc, rc)
+                for (lp, L), (rp, R) in product(per_patch(lc, n), per_patch(rc, n)):
+                    for u, v in zip(L, R):
+                        image = emb.forward((lp, u), (rp, v))
+                        got = family.classify((p, q), image)
+                        if got != expected and not witness:
+                            witness = f"{lc}*{rc} sample landed in {got}, expected {expected}"
+                        seen.append(((lp, u), (rp, v), image))
+        records.append(("embedding.stratum", subject, witness == "", 0.0, witness))
+        clash = any(
+            family.space(p, q).distance(img, other) < 1e-12
+            and not (
+                family.space(p, r).distance(a, a2) < 1e-9
+                and family.space(r, q).distance(b, b2) < 1e-9
+            )
+            for i, (a, b, img) in enumerate(seen)
+            for a2, b2, other in seen[:i]
+        )
+        records.append((
+            "embedding.injective", subject, not clash, 0.0,
+            "two distinct products map to one point" if clash else "",
+        ))
+        nl = family.space(p, r).dim
+        if nl + family.space(r, q).dim == 0:
+            records.append(("embedding.rank", subject, True, 0.0, ""))
+            continue
+        worst = np.inf
+        for (lp, L), (rp, R) in product(per_patch(Chain((p, r)), 4), per_patch(Chain((r, q)), 4)):
+            for u, v in zip(L, R):
+                jac = fd_jacobian(
+                    lambda z: emb.forward((lp, z[:nl]), (rp, z[nl:]))[1],
+                    np.concatenate([u, v]), 1e-6,
+                )
+                worst = min(worst, float(np.linalg.svd(jac, compute_uv=False)[-1]))
+        records.append((
+            "embedding.rank", subject, worst > 1e-9, worst,
+            "" if worst > 1e-9 else f"smallest singular value {worst:.2e}",
+        ))
+    quads = sorted({
+        (p, s, r, q)
+        for p, s, q in family.triples()
+        for s2, r, q2 in family.triples()
+        if s2 == s and q2 == q
+        and {(p, r, q), (s, r, q), (p, s, r)} <= set(family.embeddings)
+    })
+    for p, s, r, q in quads:
+        worst, witness = 0.0, ""
+        factors = [per_patch(Chain(pair), n) for pair in ((p, s), (s, r), (r, q))]
+        for blocks in product(*factors):
+            for u, v, w in zip(*(_points([b]) for b in blocks)):
+                left = family.embedding(p, r, q).forward(
+                    family.embedding(p, s, r).forward(u, v), w
+                )
+                right = family.embedding(p, s, q).forward(
+                    u, family.embedding(s, r, q).forward(v, w)
+                )
+                d = float(family.space(p, q).distance(left, right))
+                if d > worst:
+                    worst = d
+                    if d > tol:
+                        witness = (
+                            f"associating ({p}>{s}>{r}) then {q} vs {s} then "
+                            f"({s}>{r}>{q}) differs by {d:.3e}"
+                        )
+        records.append(("embedding.coherence", f"({p},{s},{r},{q})", worst <= tol, worst, witness))
+    return records
+
+
+def _validation_family(name):
+    if name == "torus":
+        return load_family(TORUS_FILE)
+    if name == "cube5":
+        return cube_family(5)
+    if name == "flipped":
+        return with_flipped_embedding(cube_family(3), ("p0", "p2", "p3"))
+    if name == "incoherent":
+        # one embedding into (p0, p5) stretched, the others not: the two
+        # bracketings differ by amounts that depend on the samples
+        family = cube_family(5)
+        family.embeddings[("p0", "p2", "p5")] = replace(
+            family.embedding("p0", "p2", "p5"), target_map=stretch_diffeo(4)
+        )
+        return family
+    diffeo = {"cube3": None, "stretched": stretch_diffeo(2), "sheared": shear_diffeo(2)}[name]
+    family = cube_family(3)
+    return family if diffeo is None else with_target_diffeo(family, ("p0", "p3"), diffeo)
+
+
+@pytest.mark.parametrize(
+    "name", ["cube3", "stretched", "sheared", "cube5", "torus", "flipped", "incoherent"]
+)
+def test_validate_family_matches_point_loop(name):
+    family = _validation_family(name)
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    report = validate_family(family, samples=64, rng=rng_a)
+    block = [
+        (r.name, r.subject, r.passed, r.residual, r.witness)
+        for r in report.records if r.name in SAMPLED
+    ]
+    assert block == _validate_loop(family, 64, rng_b, 1e-9)
+    assert rng_a.random() == rng_b.random()
+    assert report.passed == (name not in ("flipped", "incoherent"))
