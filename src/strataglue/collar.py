@@ -696,10 +696,13 @@ def check_stratum_condition(
 def check_injectivity(
     atlas: CollarAtlas, chain: Chain, samples: int = 10000, rng=None
 ) -> float:
-    """Min output separation over distinct random inputs (collision scan).
+    """Collision scan: the smallest gap between lexicographically
+    adjacent glued rows, over random inputs on each stratum patch.
 
-    Outputs are lexicographically sorted and adjacent rows compared;
-    exact collisions are always adjacent after sorting.
+    This is an upper bound on the minimum output separation, not that
+    minimum: the closest pair need not be adjacent in lexicographic
+    order.  It is 0 exactly when two outputs collide, since equal rows
+    are always adjacent after sorting.
     """
     rng = np.random.default_rng(rng)
     family = atlas.family

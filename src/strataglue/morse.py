@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 # not called; perfbench/spans.py counts calls to this name
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq, root
+from scipy.optimize import root
 from scipy.spatial import cKDTree
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
@@ -86,13 +86,12 @@ class MorseSystem:
         return float(value) if u.ndim == 1 else np.asarray(value, dtype=float)
 
     def grad(self, u) -> np.ndarray:
-        """Euclidean chart gradient of f (finite differences, one row at
-        a time, by default)."""
+        """Euclidean chart gradient of f (by default, central
+        differences on the block)."""
         u = np.asarray(u, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(u), dtype=float)
-        rows = [fd_jacobian(self._f, r, 1e-6) for r in u.reshape(-1, self.dim)]
-        return np.reshape(rows, u.shape)
+        return fd_jacobian(self._f, u, 1e-6)
 
     def rhs(self, u) -> np.ndarray:
         """Negative-gradient velocity field in chart coordinates."""
@@ -291,7 +290,7 @@ BUILTIN_SYSTEMS = {
 # symbolic expressions for custom systems
 # ---------------------------------------------------------------------
 
-_ALLOWED_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -302,9 +301,10 @@ _ALLOWED_BINOPS = {
 
 
 def parse_expression(text: str, variables):
-    """Compile an arithmetic expression into a function of a coordinate
-    vector.  Supports +, -, *, /, **, sin, cos, exp and the given
-    variable names; anything else is rejected."""
+    """Compile an arithmetic expression into a numpy function of
+    (..., k) rows, variable i in column i.  Supports +, -, *, /, **,
+    sin, cos, exp and the given variable names; anything else is
+    rejected."""
     variables = list(variables)
     try:
         tree = ast.parse(text, mode="eval")
@@ -321,7 +321,7 @@ def parse_expression(text: str, variables):
             if node.id not in variables:
                 raise InputError(f"unknown variable {node.id!r}")
             idx = variables.index(node.id)
-            return lambda u: float(u[idx])
+            return lambda u: u[..., idx]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             inner = build(node.operand)
             return lambda u: -inner(u)
@@ -341,7 +341,15 @@ def parse_expression(text: str, variables):
             return lambda u: fn(arg(u))
         raise InputError(f"unsupported expression element {ast.dump(node)}")
 
-    return build(tree)
+    body = build(tree)
+
+    def compiled(u):
+        u = np.asarray(u, dtype=float)
+        value = body(u)
+        # a constant gives one value per row
+        return value if np.ndim(value) == u.ndim - 1 else np.full(u.shape[:-1], value)
+
+    return compiled
 
 
 def system_from_expression(
@@ -361,14 +369,9 @@ def system_from_expression(
             raise InputError(f"bad box {box!r} for dimension {dim}")
     names = ["x", "y", "z"][:dim]
     fn = parse_expression(expr, names + [f"x{i}" for i in range(dim)])
-
-    def f(u):
-        # one row at a time until expressions compile to numpy code;
-        # both spellings are accepted by duplicating the coordinates
-        rows = [fn(np.concatenate([r, r])) for r in u.reshape(-1, dim)]
-        return np.reshape(rows, u.shape[:-1])
-
-    return MorseSystem(name, dim, f, box=box, period=period)
+    # one gather: both spellings of coordinate i read column i
+    cols = list(range(dim)) * 2
+    return MorseSystem(name, dim, lambda u: fn(u[..., cols]), box=box, period=period)
 
 
 # ---------------------------------------------------------------------
@@ -501,16 +504,6 @@ def _speed(F) -> np.ndarray:
     return np.sqrt(np.sum(F * F, axis=-1))
 
 
-def _level_gap(t, system, sol, level) -> float:
-    """f - level along a dense output, for ``brentq``.
-
-    Passed with ``args`` rather than closed over: scipy's ``brentq``
-    wraps its function in a self-referencing closure, and a closure
-    over a dense output would hold it until the next cycle collection.
-    """
-    return system.f(sol(t)) - level
-
-
 def integrate_flow(
     system: MorseSystem,
     x,
@@ -519,42 +512,53 @@ def integrate_flow(
     atol: float = 1e-12,
     stop_speed: float = 1e-7,
     samples: int = 400,
-) -> FlowSegment:
-    """Integrate the negative-gradient flow from x.
+):
+    """Integrate the negative-gradient flow from x: one ``FlowSegment``
+    from a (dim,) start, or a list from the rows of an (n, dim) block,
+    as one batch, each bit for bit its one-row run.
 
     Stops when the speed drops below ``stop_speed`` (converged to a
-    critical point), when the path leaves the bounding box (truncated),
+    critical point), when the path leaves the bounding box (exited),
     or at the end of the time span.
-    """
-    return _flow_rows(
-        system, np.atleast_2d(x), t_span, rtol, atol, stop_speed, samples
-    )[0]
-
-
-def _flow_rows(
-    system, X, t_span=(0.0, 400.0), rtol=1e-10, atol=1e-12,
-    stop_speed=1e-7, samples=400,
-) -> list[FlowSegment]:
-    """``integrate_flow`` from every row of X, as one batch.
-
-    Segment i equals ``integrate_flow(system, X[i], ...)`` bit for bit.
-    The speed stop test reads the field at each step end from the last
-    DOP853 stage, which is ``rhs`` there.
     """
     if t_span[1] <= t_span[0]:
         raise InputError(f"time span {t_span} does not run forward")
+    X = np.asarray(x, dtype=float)
     events = [lambda Y, F: _speed(F) - stop_speed]
     if system.box is not None:
         lo, hi = system.box
         events.append(
             lambda Y, F: np.min(np.minimum(Y - lo, hi - Y), axis=-1) + 1e-9
         )
-    paths = dop853_rows(system.rhs, X, t_span, rtol, atol, events)
+    paths = dop853_rows(system.rhs, np.atleast_2d(X), t_span, rtol, atol, events)
     out = []
     for path in paths:
         status = "time" if path.event is None else ("converged", "exited")[path.event]
         ts = np.linspace(path.t[0], path.t[-1], samples)
         out.append(FlowSegment(times=ts, states=path(ts), status=status, sol=path))
+    return out[0] if X.ndim == 1 else out
+
+
+def _level_crossings(system, paths, lo, hi, levels, fallback) -> np.ndarray:
+    """Row i: where f crosses ``levels[i]`` along ``paths[i]`` on
+    [lo[i], hi[i]]; one ``brentq_rows`` call (xtol 1e-12), bit for bit
+    scipy's ``brentq``.  A row whose f - level has one nonzero sign,
+    or a NaN, at both ends keeps ``fallback[i]`` (``brentq`` raised)."""
+    out = np.array(fallback, dtype=float).reshape(-1, system.dim)
+    lo, hi, levels = (np.asarray(v, dtype=float) for v in (lo, hi, levels))
+
+    def at(t, rows):
+        return np.reshape([paths[r](s) for r, s in zip(rows, t)], (-1, system.dim))
+
+    def gap(t, rows):
+        return system.f(at(t, rows)) - levels[rows]
+
+    rows = np.arange(len(out))
+    f_lo, f_hi = gap(lo, rows), gap(hi, rows)
+    bracket = (f_lo == 0) | (f_hi == 0) | (np.signbit(f_lo) != np.signbit(f_hi))
+    rows = rows[bracket & ~np.isnan(f_lo) & ~np.isnan(f_hi)]
+    t = brentq_rows(lambda t, i: gap(t, rows[i]), lo[rows], hi[rows], xtol=1e-12)
+    out[rows] = at(t, rows)
     return out
 
 
@@ -628,11 +632,8 @@ def _nearest_crits(system, crits, U):
 
 
 def _period_shifts(system):
-    shifts = [np.zeros(system.dim)]
-    if not system.period:
-        return shifts
     out = [np.zeros(system.dim)]
-    for a, per in enumerate(system.period):
+    for a, per in enumerate(system.period or ()):
         if per:
             more = []
             for s in out:
@@ -644,57 +645,52 @@ def _period_shifts(system):
     return out
 
 
-def _make_trajectory(
-    system, source: CriticalPointData, target: CriticalPointData,
-    seg: FlowSegment, angle=None, truncate_at=None, prefix=None,
-) -> Trajectory:
-    """Assemble a Trajectory from an integrated segment.
+def _make_trajectories(
+    system, source: CriticalPointData, targets, segs, angles, prefixes=None,
+    truncate=False,
+) -> list[Trajectory]:
+    """Trajectory i from ``segs[i]``, shot at ``angles[i]`` from
+    ``source`` to ``targets[i]``.
 
-    ``truncate_at`` cuts the segment at its closest approach to the
-    given critical point (used for limits into a saddle).  The stored
-    path is prepended/appended with the exact endpoint locations, and
-    anchored where f crosses the pair's mid level.
+    ``truncate`` cuts each segment at its closest approach to its
+    target (used for limits into a saddle); ``prefixes[i]`` (states,
+    times) goes before segment i.  Each path is prepended/appended with
+    the exact endpoint locations, and anchored where f crosses the
+    pair's mid level, by one ``_level_crossings`` call.
     """
-    states = seg.states
-    times = seg.times
-    if truncate_at is not None:
-        embedded = system.embed(states)
-        tloc = system.embed([truncate_at.location])[0]
-        cut = int(np.argmin(np.linalg.norm(embedded - tloc, axis=1)))
-        states = states[: cut + 1]
-        times = times[: cut + 1]
-    mid = 0.5 * (source.value + target.value)
-    fs = system.f(states)
-    k = int(np.searchsorted(-fs, -mid))
-    k = min(max(k, 1), len(states) - 1)
-    lo, hi = times[k - 1], times[k]
-    try:
-        t_mid = brentq(
-            _level_gap, lo, hi, args=(system, seg.sol, mid), xtol=1e-12
-        )
-        anchor = seg.sol(t_mid)
-    except ValueError:
-        anchor = states[k]
-    if prefix is not None and len(prefix[0]):
-        pre_states, pre_times = prefix
-        head = np.vstack([source.location, pre_states])
-        head_times = np.concatenate(
-            [[times[0] + pre_times[0] - 1.0], times[0] + pre_times]
-        )
-    else:
-        head = np.atleast_2d(source.location)
-        head_times = np.array([times[0] - 1.0])
-    full_states = np.vstack([head, states, target.location])
-    full_times = np.concatenate([head_times, times, [times[-1] + 1.0]])
-    return Trajectory(
-        source=source.id,
-        target=target.id,
-        times=full_times,
-        states=full_states,
-        points=system.embed(full_states),
-        anchor=np.asarray(anchor, dtype=float),
-        angle=angle,
-    )
+    mids = [0.5 * (source.value + target.value) for target in targets]
+    cut, lo, hi, fallback = [], [], [], []
+    for seg, target, mid in zip(segs, targets, mids):
+        states, times = seg.states, seg.times
+        if truncate:
+            tloc = system.embed([target.location])[0]
+            stop = int(np.argmin(np.linalg.norm(system.embed(states) - tloc, axis=1)))
+            states, times = states[: stop + 1], times[: stop + 1]
+        k = int(np.searchsorted(-system.f(states), -mid))
+        k = min(max(k, 1), len(states) - 1)
+        cut.append((states, times))
+        lo.append(times[k - 1])
+        hi.append(times[k])
+        fallback.append(states[k])
+    anchors = _level_crossings(system, [seg.sol for seg in segs], lo, hi, mids, fallback)
+    out = []
+    for i, (states, times) in enumerate(cut):
+        if prefixes is not None:
+            pre_states, pre_times = prefixes[i]
+            head = np.vstack([source.location, pre_states])
+            head_times = np.concatenate(
+                [[times[0] + pre_times[0] - 1.0], times[0] + pre_times]
+            )
+        else:
+            head = np.atleast_2d(source.location)
+            head_times = np.array([times[0] - 1.0])
+        full = np.vstack([head, states, targets[i].location])
+        full_times = np.concatenate([head_times, times, [times[-1] + 1.0]])
+        out.append(Trajectory(
+            source.id, targets[i].id, full_times, full, system.embed(full),
+            anchors[i], angles[i],
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -906,29 +902,26 @@ class ModuliAnalysis:
     def _isolated_trajectories(self, p, q) -> list[Trajectory]:
         if p.index == 1:
             return self._saddle_descents(p, q)
-        sweep = self._sweep(p)
-        out = []
-        for special in sweep["special"]:
-            if special["target"] != q.id:
-                continue
-            out.append(special["trajectory"])
-        out.sort(key=lambda t: t.angle)
-        return out
+        return sorted(
+            (s["trajectory"] for s in self._sweep(p)["special"] if s["target"] == q.id),
+            key=lambda t: t.angle,
+        )
 
     def _saddle_descents(self, p, q) -> list[Trajectory]:
         frame = _unstable_frame(self.system, p)
         angles = (0.0, math.pi)
         X = [_shoot_start(self.system, p, frame, angle) for angle in angles]
-        segs = _flow_rows(self.system, X)
+        segs = integrate_flow(self.system, X)
         near, dist = _nearest_crits(
             self.system, self.critical_points, [seg.states[-1] for seg in segs]
         )
-        return [
-            _make_trajectory(self.system, p, q, seg, angle=angle)
-            for angle, seg, i, d in zip(angles, segs, near, dist)
-            if seg.status == "converged"
-            and self.critical_points[i].id == q.id and d <= 1e-4
+        hits = [
+            i for i, (seg, c, d) in enumerate(zip(segs, near, dist))
+            if seg.status == "converged" and self.critical_points[c].id == q.id and d <= 1e-4
         ]
+        return _make_trajectories(
+            self.system, p, [q] * len(hits), [segs[i] for i in hits], [angles[i] for i in hits]
+        )
 
     # -- shooting sweep from an index-2 point ---------------------------
 
@@ -1020,39 +1013,33 @@ class ModuliAnalysis:
         Returns one (tag, descriptor) per angle: tag is 'crit:<id>',
         'exit' or 'lost', and the descriptor is the embedded crossing
         point at the reference level (continuous within one trajectory
-        family, jumping across the stable set of a saddle).
+        family, jumping across the stable set of a saddle), else the
+        embedded end of the shot.
         """
+        system = self.system
         X = self._launch(p, frame, angles)
-        segs = _flow_rows(self.system, X, rtol=rtol, atol=1e-10, samples=200)
-        ends = [seg.states[-1] for seg in segs]
-        near, dist = _nearest_crits(self.system, self.critical_points, ends)
-        return [
-            self._mark(seg, level, self.critical_points[i], d)
-            for seg, i, d in zip(segs, near, dist)
+        segs = integrate_flow(system, X, rtol=rtol, atol=1e-10, samples=200)
+        S = np.array([seg.states for seg in segs])
+        T = np.array([seg.times for seg in segs])
+        near, dist = _nearest_crits(system, self.critical_points, S[:, -1])
+        # the level crossing sits between samples k - 1 and k
+        ks = np.array([np.searchsorted(-fs, -level) for fs in system.f(S)])
+        landed = np.array([
+            seg.status == "converged" and d <= 1e-3 for seg, d in zip(segs, dist)
+        ])
+        tags = [
+            f"crit:{self.critical_points[i].id}" if hit
+            else "exit" if seg.status == "exited" else "lost"
+            for seg, i, hit in zip(segs, near, landed)
         ]
-
-    def _mark(self, seg, level, target, dist):
-        """The mark of one shot, given the critical point nearest to its
-        end and that distance."""
-        if seg.status == "exited":
-            return "exit", system_embed_end(self.system, seg)
-        if seg.status != "converged" or dist > 1e-3:
-            return "lost", system_embed_end(self.system, seg)
-        fs = self.system.f(seg.states)
-        k = int(np.searchsorted(-fs, -level))
-        if k <= 0 or k >= len(seg.states):
-            desc = self.system.embed([seg.states[-1]])[0]
-        else:
-            lo, hi = seg.times[k - 1], seg.times[k]
-            try:
-                t_cross = brentq(
-                    _level_gap, lo, hi, args=(self.system, seg.sol, level),
-                    xtol=1e-12,
-                )
-                desc = self.system.embed([seg.sol(t_cross)])[0]
-            except ValueError:
-                desc = self.system.embed([seg.states[k]])[0]
-        return f"crit:{target.id}", desc
+        rows = np.flatnonzero(landed & (ks > 0) & (ks < S.shape[1]))
+        P = S[:, -1].copy()
+        k = ks[rows]
+        P[rows] = _level_crossings(
+            system, [segs[r].sol for r in rows], T[rows, k - 1], T[rows, k],
+            np.full(len(rows), level), S[rows, k],
+        )
+        return list(zip(tags, system.embed(P)))
 
     def _sweep(self, p) -> dict:
         if p.id in self._sweeps:
@@ -1141,26 +1128,24 @@ class ModuliAnalysis:
             distinct.append(angle)
         X = self._launch(p, frame, distinct)
         hugs = []
-        for angle, x, seg in zip(distinct, X, _flow_rows(system, X, samples=600)):
+        for angle, x, seg in zip(distinct, X, integrate_flow(system, X, samples=600)):
             # which saddle does the limiting shot hug?
             emb = system.embed(seg.states)
-            best, bdist = None, np.inf
-            for s in saddles:
-                d = float(
-                    np.linalg.norm(emb - system.embed([s.location])[0], axis=1).min()
-                )
-                if d < bdist:
-                    best, bdist = s, d
-            if best is not None and bdist <= 1e-3:
-                hugs.append((angle, x, seg, best, bdist))
+            d = [
+                float(np.linalg.norm(emb - system.embed([s.location])[0], axis=1).min())
+                for s in saddles
+            ]
+            if d and min(d) <= 1e-3:
+                hugs.append((angle, x, seg, saddles[np.argmin(d)], min(d)))
         prefixes = self._back_prefix(p, [h[1] for h in hugs])
+        trajs = _make_trajectories(
+            system, p, [h[3] for h in hugs], [h[2] for h in hugs],
+            [h[0] for h in hugs], prefixes, truncate=True,
+        )
         special = [
             {"angle": angle % TWO_PI, "target": best.id, "approach": bdist,
-             "trajectory": _make_trajectory(
-                 system, p, best, seg, angle=angle, truncate_at=best,
-                 prefix=prefix,
-             )}
-            for (angle, x, seg, best, bdist), prefix in zip(hugs, prefixes)
+             "trajectory": traj}
+            for (angle, x, seg, best, bdist), traj in zip(hugs, trajs)
         ]
         special.sort(key=lambda s: s["angle"])
         result = {
@@ -1180,11 +1165,10 @@ class ModuliAnalysis:
         # prefixes first: their dense outputs are gone once sampled, so
         # they never sit in memory beside the forward ones
         prefixes = self._back_prefix(p, X)
-        segs = _flow_rows(self.system, X, samples=samples)
-        return [
-            _make_trajectory(self.system, p, q, seg, angle=angle, prefix=prefix)
-            for angle, seg, prefix in zip(angles, segs, prefixes)
-        ]
+        segs = integrate_flow(self.system, X, samples=samples)
+        return _make_trajectories(
+            self.system, p, [q] * len(segs), segs, angles, prefixes
+        )
 
     def _one_dim_moduli(self, p, q) -> PairData | None:
         sweep = self._sweep(p)
@@ -1418,10 +1402,6 @@ class ModuliAnalysis:
         return from_morse(
             points, self.relations(), moduli, name=self.system.name
         )
-
-
-def system_embed_end(system, seg):
-    return system.embed([seg.states[-1]])[0]
 
 
 def _end_offsets(arc, depth: int = 25) -> np.ndarray:

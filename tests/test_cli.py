@@ -425,18 +425,21 @@ def test_every_benchmark_probe_resolves():
 
 
 def test_only_the_flow_integrators_import_scipy():
-    # the collar side stays numpy-only; morse.py and dop853.py are the
-    # integrators and may still use scipy
-    importers = []
+    # the collar side stays numpy-only; the flow integrators import only
+    # these scipy names (morse.py keeps solve_ivp for a benchmark probe)
+    imported = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                names = [a.name for a in node.names]
             else:
                 continue
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                importers.append(path.name)
+            if names:
+                imported.setdefault(path.name, set()).update(names)
     assert len(list(PACKAGE.glob("*.py"))) > 5
-    assert set(importers) <= {"morse.py", "dop853.py"}, importers
+    assert imported == {
+        "morse.py": {"solve_ivp", "root", "cKDTree"},
+        "dop853.py": {"dop853_coefficients"},
+    }, imported

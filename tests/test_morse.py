@@ -26,7 +26,6 @@ from strataglue.morse import (
     _unstable_frame,
     hausdorff,
     hausdorff_to_union,
-    _flow_rows,
     integrate_flow,
     interval_well,
     parse_expression,
@@ -288,7 +287,7 @@ def test_batched_rows_equal_single_runs():
         [1 + 1e-4, 1 + 2e-4], [2.0, 1.2], [-1.2, 0.5],
     ])
     span = (0.0, 6.0)
-    batch = _flow_rows(system, X, span)
+    batch = integrate_flow(system, X, span)
     assert {seg.status for seg in batch} == {"converged", "exited", "time"}
     assert len({seg.times[-1] for seg in batch}) > 3
     for x, seg in zip(X, batch):
@@ -297,6 +296,58 @@ def test_batched_rows_equal_single_runs():
         assert one.sol.t.tobytes() == seg.sol.t.tobytes()
         assert one.times.tobytes() == seg.times.tobytes()
         assert one.states.tobytes() == seg.states.tobytes()
+
+
+def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
+    # the brackets of one torus _classify batch, plus a bracket whose ends
+    # are on one side of the level and one with an exact zero at an end
+    analysis = torus_analysis
+    system = analysis.system
+    p = analysis.by_id["c0"]
+    sweep = analysis._sweep(p)
+    level = sweep["level"]
+    X = analysis._launch(p, sweep["frame"], sweep["angles"])
+    segs = integrate_flow(system, X, rtol=1e-8, atol=1e-10, samples=200)
+    rows = []  # path, lo, hi, level, fallback
+    for seg in segs:
+        k = int(np.searchsorted(-system.f(seg.states), -level))
+        if 0 < k < len(seg.states):
+            rows.append((seg.sol, seg.times[k - 1], seg.times[k], level, seg.states[k]))
+    assert len(rows) > 40
+    seg = segs[0]
+    # f falls along the shot, so both ends are above this level
+    below = system.f(seg.states[-1]) - 1.0
+    rows.append((seg.sol, seg.times[0], seg.times[1], below, seg.states[5]))
+    t = seg.times[3]
+    rows.append((seg.sol, seg.times[2], t, system.f(seg.sol(t)), seg.states[0]))
+    paths, lo, hi, levels, fallback = map(list, zip(*rows))
+    got = morse._level_crossings(system, paths, lo, hi, levels, fallback)
+    assert got.shape == (len(rows), system.dim)
+    fell_back = 0
+    for (path, a, b, value, back), point in zip(rows, got):
+        try:
+            root = brentq(lambda t: system.f(path(t)) - value, a, b, xtol=1e-12)
+            want = path(root)
+        except ValueError:
+            fell_back += 1
+            want = back
+        assert point.tobytes() == want.tobytes()
+    assert fell_back == 1
+    assert got[-1].tobytes() == seg.sol(t).tobytes()
+    # one brentq_rows call for the launch points and one for the
+    # crossings of a whole batch
+    calls, brentq_rows = [], morse.brentq_rows
+
+    def counted(f, a, b, **kwargs):
+        calls.append(len(a))
+        return brentq_rows(f, a, b, **kwargs)
+
+    monkeypatch.setattr(morse, "brentq_rows", counted)
+    analysis._classify(p, sweep["frame"], sweep["angles"], level)
+    assert len(calls) == 2
+    calls.clear()
+    analysis._shot_trajectory(p, analysis.by_id["c3"], sweep["angles"][:7])
+    assert len(calls) == 2 and calls[0] == 7
 
 
 def _riccati(Y):
@@ -586,6 +637,41 @@ def test_parse_expression_evaluates():
     assert abs(fn([x, y]) - (math.sin(x) + 2 * y**2 - math.exp(-x))) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(11, 2), (3, 3, 2)])
+def test_compiled_expression_takes_rows(shape, rng):
+    fn = parse_expression("sin(x) + 2*y**2 - exp(-x) + cos(x*y)/3 - y**3", ["x", "y"])
+    U = rng.uniform(-3.0, 3.0, size=shape)
+    values = fn(U)
+    assert values.shape == shape[:-1]
+    for idx in np.ndindex(*shape[:-1]):
+        assert np.float64(fn(U[idx])).tobytes() == values[idx].tobytes()
+    assert fn(U.tolist()).tobytes() == values.tobytes()
+    # a constant expression still gives one value per row
+    constant = parse_expression("2.5 * 2", ["x", "y"])(U)
+    assert constant.tobytes() == np.full(shape[:-1], 5.0).tobytes()
+
+
+def test_custom_double_matches_builtin(double_analysis):
+    # the built-in double as a custom expression: same indices, counts
+    # and arc matching, arc lengths to 1e-3
+    custom = analyze(_custom_double())
+    assert [c.index for c in custom.critical_points] == [
+        c.index for c in double_analysis.critical_points
+    ]
+    assert sorted(custom.pairs) == sorted(double_analysis.pairs)
+    for pair, want in double_analysis.pairs.items():
+        got = custom.pairs[pair]
+        assert (got.dim, len(got.trajectories), len(got.arcs)) == (
+            want.dim, len(want.trajectories), len(want.arcs)
+        )
+        for a, b in zip(got.arcs, want.arcs):
+            assert [(e.junction, e.left_index, e.right_index) for e in a.ends] == [
+                (e.junction, e.left_index, e.right_index) for e in b.ends
+            ]
+            assert abs(a.length - b.length) < 1e-3
+    assert len(custom.pairs[("c0", "c3")].arcs) == 1
+
+
 def test_parse_expression_rejections():
     for bad in (
         "__import__('os')",
@@ -604,8 +690,9 @@ def test_parse_expression_rejections():
 def test_expression_system_accepts_both_spellings(rng):
     a = system_from_expression("x*x + 0.5*y*y", 2, box=[[-1, 1], [-1, 1]])
     b = system_from_expression("x0*x0 + 0.5*x1*x1", 2, box=[[-1, 1], [-1, 1]])
-    for u in rng.uniform(-1, 1, size=(20, 2)):
-        assert abs(a.f(u) - b.f(u)) < 1e-12
+    U = rng.uniform(-1, 1, size=(20, 2))
+    assert a.f(U).tobytes() == b.f(U).tobytes()
+    assert a.grad(U).tobytes() == b.grad(U).tobytes()
 
 
 def test_expression_dimension_limits():
