@@ -11,8 +11,7 @@ Three subcommands:
   optionally export the result as a family file.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 input error,
-3 numerical abort (collar width underflow or a non-converging
-inversion).
+3 numerical abort (a collar width underflow).
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ class UnsupportedDimensionError(InputError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed: a collar width underflow or a
-    non-converging inversion."""
+    """A numerical procedure failed: a collar width underflow."""
 
 
 class EpsilonUnderflowError(NumericalError):

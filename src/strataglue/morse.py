@@ -22,13 +22,13 @@ Conventions:
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 # not called; perfbench/spans.py counts calls to this name
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import root
 from scipy.spatial import cKDTree
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
@@ -40,6 +40,8 @@ from .poset import CriticalPoint
 TWO_PI = 2.0 * math.pi
 # bisection rounds whose midpoints the sweep shoots as one batch
 _LOOKAHEAD = 3
+# the longest step of a seed's Newton iteration in find_critical_points
+_NEWTON_STEP = 0.5
 
 
 # ---------------------------------------------------------------------
@@ -121,10 +123,6 @@ class MorseSystem:
         v = g - np.sum(g * u, axis=-1, keepdims=True) * u / uu
         return sign * v + (1.0 - uu) * u
 
-    def hessian(self, u) -> np.ndarray:
-        mat = fd_jacobian(self.grad, u, 1e-5)
-        return 0.5 * (mat + mat.T)
-
     # -- geometry ------------------------------------------------------
 
     def embed(self, U) -> np.ndarray:
@@ -149,12 +147,13 @@ class MorseSystem:
             np.linalg.norm(self.embed([a])[0] - self.embed([b])[0])
         )
 
-    def in_box(self, u, margin: float = 0.0) -> bool:
-        if self.box is None:
-            return True
-        lo, hi = self.box
+    def in_box(self, u, margin: float = 0.0):
+        """Whether each row of u lies in the box shrunk by margin."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= lo + margin) and np.all(u <= hi - margin))
+        if self.box is None:
+            return np.ones(u.shape[:-1], dtype=bool)
+        lo, hi = self.box
+        return np.all((u >= lo + margin) & (u <= hi - margin), axis=-1)
 
     def default_seeds(self, per_axis: int = 24) -> np.ndarray:
         if self.on_sphere:
@@ -381,6 +380,10 @@ def system_from_expression(
 
 @dataclass
 class CriticalPointData:
+    """``eigenvalues`` are minus those of the flow's linearization, in
+    ascending order: the Hessian's on a Euclidean chart, with the same
+    signs under a metric.  ``index`` and ``morse`` are read from them."""
+
     id: str
     location: np.ndarray
     value: float
@@ -393,86 +396,77 @@ class CriticalPointData:
 def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointData]:
     """Deduplicated critical points with Morse indices.
 
-    Root-solves the gradient from a grid of seeds, drops roots outside
-    the domain, merges duplicates (periodically), and indexes each root
-    by the negative-eigenvalue count of the chart Hessian (tangent
-    Hessian on the sphere).  Degenerate roots are flagged non-Morse.
+    All seeds take up to 60 Newton steps towards a zero of ``rhs`` at
+    once, each at most ``_NEWTON_STEP`` long, with the block's
+    central-difference Jacobian and a pseudo-inverse, so singular rows
+    take finite steps; on the sphere the radius term of ``rhs`` pins
+    |u| = 1.  Rows that go non-finite drop out.  Zeros outside the
+    domain or with a gradient norm above 1e-8 are dropped, and a zero
+    within 1e-6 of an earlier one (embedded) is merged into it.  Each
+    point is indexed by the flow's linearization (``_linearization``);
+    degenerate points are flagged non-Morse.
     """
     if seeds is None:
         seeds = system.default_seeds()
-
-    def objective(u):
-        if system.on_sphere:
-            g = system.grad(u)
-            tang = g - np.dot(g, u) * u / max(np.dot(u, u), 1e-12)
-            return np.concatenate([tang[:2], [np.dot(u, u) - 1.0]])
-        return system.grad(u)
-
-    found: list[CriticalPointData] = []
-    for seed in seeds:
-        sol = root(objective, np.asarray(seed, float), tol=1e-12)
-        if not sol.success:
-            continue
-        u = sol.x
-        if system.on_sphere:
-            u = u / np.linalg.norm(u)
-        u = system.wrap(u)
-        if not system.in_box(u, margin=1e-9):
-            continue
-        gnorm = float(np.linalg.norm(system.grad(u))) if not system.on_sphere else float(
-            np.linalg.norm(
-                system.grad(u) - np.dot(system.grad(u), u) * u
-            )
-        )
-        if gnorm > 1e-8:
-            continue
-        if any(system.distance(u, c.location) < 1e-6 for c in found):
-            continue
-        if system.on_sphere:
-            hess = _sphere_hessian(system, u, _tangent_basis(u))
-        else:
-            hess = system.hessian(u)
-        eig = np.linalg.eigvalsh(hess)
-        found.append(
-            CriticalPointData(
-                id="",
-                location=u,
-                value=system.f(u),
-                index=int(np.sum(eig < 0)),
-                gradient_norm=gnorm,
-                eigenvalues=eig,
-                morse=bool(np.min(np.abs(eig)) > 1e-6),
-            )
-        )
-    found.sort(key=lambda c: -c.value)
-    for k, c in enumerate(found):
-        c.id = f"c{k}"
-    if not found:
+    U = np.array(seeds, dtype=float)
+    live = np.arange(len(U))
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            X = U[live]
+            F = system.rhs(X)
+            J = fd_jacobian(system.rhs, X, 1e-6)
+            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            U[live[~ok]] = np.nan
+            live, X = live[ok], X[ok]
+            step = (np.linalg.pinv(J[ok]) @ F[ok, :, None])[..., 0]
+            norm = np.linalg.norm(step, axis=1)
+            U[live] = X - step * (_NEWTON_STEP / np.maximum(norm, _NEWTON_STEP))[:, None]
+            live = live[norm > 1e-12]
+            if not len(live):
+                break
+        U = system.wrap(U)
+        G = system.grad(U)
+    if system.on_sphere:
+        G -= np.sum(G * U, axis=1, keepdims=True) * U
+    gnorm = np.linalg.norm(G, axis=1)
+    good = np.flatnonzero(system.in_box(U, margin=1e-9) & (gnorm <= 1e-8))
+    E = system.embed(U[good])
+    first: list[int] = []
+    for k in range(len(good)):
+        if all(np.linalg.norm(E[k] - E[j]) >= 1e-6 for j in first):
+            first.append(k)
+    rows = good[first]
+    if not len(rows):
         raise InputError("no critical points found; is f constant?")
+    found = []
+    for k, r in enumerate(rows[np.argsort(-system.f(U[rows]), kind="stable")]):
+        eig = np.sort(-_linearization(system, U[r])[0])
+        found.append(CriticalPointData(
+            id=f"c{k}", location=U[r], value=system.f(U[r]), index=int(np.sum(eig < 0)),
+            gradient_norm=float(gnorm[r]), eigenvalues=eig,
+            morse=bool(np.min(np.abs(eig)) > 1e-6),
+        ))
     return found
 
 
-def _sphere_hessian(system, u, basis, h: float = 1e-4) -> np.ndarray:
-    """Hessian of f restricted to the sphere, in a tangent chart.
+def _linearization(system: MorseSystem, u) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (real parts) and eigenvectors of the flow's Jacobian
+    at u, the one place it is formed.
 
-    Uses second differences of f composed with radial projection; at a
-    critical point this equals the intrinsic Hessian (the chart's first
-    derivative vanishes there), including the curvature term an ambient
-    Hessian would miss.
+    The Jacobian is the central difference of ``rhs`` (step 1e-6).  On
+    the sphere it is restricted to the tangent plane, and the
+    eigenvectors are returned in ambient coordinates.  At a critical
+    point the eigenvalues are minus those of the Hessian on a Euclidean
+    chart, with the same signs under a metric.
     """
-
-    def F(a, b):
-        x = u + a * basis[:, 0] + b * basis[:, 1]
-        return system.f(x / np.linalg.norm(x))
-
-    f0 = F(0.0, 0.0)
-    H = np.empty((2, 2))
-    H[0, 0] = (F(h, 0) - 2 * f0 + F(-h, 0)) / h**2
-    H[1, 1] = (F(0, h) - 2 * f0 + F(0, -h)) / h**2
-    H[0, 1] = H[1, 0] = (
-        F(h, h) - F(h, -h) - F(-h, h) + F(-h, -h)
-    ) / (4 * h**2)
-    return H
+    basis = _tangent_basis(u) if system.on_sphere else None
+    A = fd_jacobian(system.rhs, u, 1e-6, directions=basis)
+    if system.on_sphere:
+        A = basis.T @ A
+    w, v = np.linalg.eig(A)
+    if system.on_sphere:
+        v = basis @ v
+    return np.real(w), np.real(v)
 
 
 def _tangent_basis(u: np.ndarray) -> np.ndarray:
@@ -579,22 +573,9 @@ class Trajectory:
 
 
 def _unstable_frame(system: MorseSystem, crit: CriticalPointData) -> np.ndarray:
-    """Orthonormal-ish basis of the unstable space of the flow at crit."""
-    u = crit.location
-    basis = _tangent_basis(u) if system.on_sphere else None
-    A = fd_jacobian(system.rhs, u, 1e-6, directions=basis)
-    if system.on_sphere:
-        A = basis.T @ A
-    w, v = np.linalg.eig(A)
-    vecs = np.real(v[:, np.real(w) > 0])
-    if system.on_sphere:
-        vecs = basis @ vecs
-    if vecs.shape[1] != crit.index:
-        raise InputError(
-            f"unstable dimension {vecs.shape[1]} != index {crit.index} at {crit.id}"
-        )
-    q, _ = np.linalg.qr(vecs) if vecs.size else (vecs, None)
-    return q
+    """Orthonormal basis of the unstable space of the flow at crit."""
+    w, v = _linearization(system, crit.location)
+    return np.linalg.qr(v[:, w > 0])[0]
 
 
 def _frame_direction(frame, angle) -> np.ndarray:
@@ -624,25 +605,18 @@ def _nearest_crits(system, crits, U):
     C = np.array([c.location for c in crits])
     d = np.linalg.norm(system.embed(W)[:, None] - system.embed(C), axis=-1)
     if system.period:
-        shifted = C[:, None] + np.array(_period_shifts(system))
+        shifted = C[:, None] + _period_shifts(system)
         chart = np.linalg.norm(W[:, None, None] - shifted, axis=-1)
         d = np.minimum(d, chart.min(axis=-1))
     best = np.argmin(d, axis=1)
     return best, d[np.arange(len(d)), best]
 
 
-def _period_shifts(system):
-    out = [np.zeros(system.dim)]
-    for a, per in enumerate(system.period or ()):
-        if per:
-            more = []
-            for s in out:
-                for mult in (-1, 0, 1):
-                    t = s.copy()
-                    t[a] += mult * per
-                    more.append(t)
-            out = more
-    return out
+def _period_shifts(system) -> np.ndarray:
+    """Every shift by -1, 0 or 1 period along each periodic axis."""
+    return np.array(list(itertools.product(
+        *[(-per, 0.0, per) if per else (0.0,) for per in system.period]
+    )))
 
 
 def _make_trajectories(
@@ -1603,9 +1577,5 @@ def _transport(system, Z, k) -> np.ndarray:
 def _stable_space(system, crit) -> np.ndarray:
     """Orthonormal columns spanning the stable space of the flow at a
     critical point (tangent to the sphere on the sphere)."""
-    if system.on_sphere:
-        basis = _tangent_basis(crit.location)
-        eigw, eigv = np.linalg.eigh(_sphere_hessian(system, crit.location, basis))
-        return basis @ eigv[:, eigw > 0]
-    eigw, eigv = np.linalg.eigh(system.hessian(crit.location))
-    return eigv[:, eigw > 0]
+    w, v = _linearization(system, crit.location)
+    return np.linalg.qr(v[:, w < 0])[0]

@@ -16,7 +16,7 @@ used to exercise the chart-independence of the predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -295,20 +295,11 @@ class CorneredSpace:
             per_face = [
                 [w for (j, w) in f.components if j == i] for f in faces
             ]
-            if any(not ws for ws in per_face):
-                continue
-            for combo in self._wall_choices(per_face):
+            for combo in product(*per_face):
                 if len({w.axis for w in combo}) != len(combo):
                     continue
                 patches.append(StratumPatch(i, frozenset(combo)))
         return patches
-
-    @staticmethod
-    def _wall_choices(per_face):
-        if not per_face:
-            return [()]
-        rest = CorneredSpace._wall_choices(per_face[1:])
-        return [(w,) + tail for w in per_face[0] for tail in rest]
 
     # -- frames --------------------------------------------------------
 

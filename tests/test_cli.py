@@ -440,6 +440,6 @@ def test_only_the_flow_integrators_import_scipy():
                 imported.setdefault(path.name, set()).update(names)
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert imported == {
-        "morse.py": {"solve_ivp", "root", "cKDTree"},
+        "morse.py": {"solve_ivp", "cKDTree"},
         "dop853.py": {"dop853_coefficients"},
     }, imported

@@ -23,6 +23,8 @@ from strataglue import morse
 from strataglue.dop853 import dop853_rows
 from strataglue.morse import (
     _points_to_polyline,
+    _stable_space,
+    _tangent_basis,
     _unstable_frame,
     hausdorff,
     hausdorff_to_union,
@@ -31,7 +33,9 @@ from strataglue.morse import (
     parse_expression,
 )
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, root
+
+from strataglue.numerics import fd_jacobian
 
 
 # -- critical points on the torus --------------------------------------
@@ -45,6 +49,98 @@ def test_torus_critical_points(torus_analysis):
     assert all(c.morse for c in crits)
     values = [c.value for c in crits]
     assert values == sorted(values, reverse=True)
+
+
+def _custom_double():
+    return system_from_expression(
+        "x**3/3 - x + 1.3*(y**3/3 - y)", 2, box=[[-2.5, 2.5], [-2.5, 2.5]]
+    )
+
+
+def _scipy_critical_points(system):
+    """Oracle: one scipy ``root`` (hybr) per default seed, on the
+    gradient (its tangential part and |u|^2 - 1 on the sphere), indexed
+    by the eigenvalues of the symmetrized chart Hessian (a second
+    difference of f in a tangent chart on the sphere).  Returns
+    (location, gradient norm, Hessian eigenvalues) by falling f."""
+
+    def objective(u):
+        g = system.grad(u)
+        if system.on_sphere:
+            tang = g - np.dot(g, u) * u / max(np.dot(u, u), 1e-12)
+            return np.concatenate([tang[:2], [np.dot(u, u) - 1.0]])
+        return g
+
+    def sphere_hessian(u, h=1e-4):
+        basis = _tangent_basis(u)
+
+        def F(a, b):
+            x = u + a * basis[:, 0] + b * basis[:, 1]
+            return system.f(x / np.linalg.norm(x))
+
+        f0 = F(0.0, 0.0)
+        H = np.empty((2, 2))
+        H[0, 0] = (F(h, 0) - 2 * f0 + F(-h, 0)) / h**2
+        H[1, 1] = (F(0, h) - 2 * f0 + F(0, -h)) / h**2
+        H[0, 1] = H[1, 0] = (F(h, h) - F(h, -h) - F(-h, h) + F(-h, -h)) / (4 * h**2)
+        return H
+
+    found = []
+    for seed in system.default_seeds():
+        sol = root(objective, np.asarray(seed, float), tol=1e-12)
+        if not sol.success:
+            continue
+        u = sol.x / np.linalg.norm(sol.x) if system.on_sphere else sol.x
+        u = system.wrap(u)
+        if not system.in_box(u, margin=1e-9):
+            continue
+        g = system.grad(u)
+        if system.on_sphere:
+            g = g - np.dot(g, u) * u
+        if np.linalg.norm(g) > 1e-8:
+            continue
+        E = system.embed([u])[0]
+        if any(np.linalg.norm(E - system.embed([v])[0]) < 1e-6 for v, _, _ in found):
+            continue
+        if system.on_sphere:
+            hess = sphere_hessian(u)
+        else:
+            hess = fd_jacobian(system.grad, u, 1e-5)
+            hess = 0.5 * (hess + hess.T)
+        found.append((u, float(np.linalg.norm(g)), np.linalg.eigvalsh(hess)))
+    found.sort(key=lambda item: -system.f(item[0]))
+    return found
+
+
+@pytest.mark.parametrize(
+    "make, tol",
+    [(tilted_torus, 1e-12), (round_sphere, 1e-12), (double_system, 1e-12),
+     (interval_well, 1e-12), (_custom_double, 1e-9)],
+    ids=["torus", "sphere", "double", "well", "custom"],
+)
+def test_critical_points_match_scipy_root_oracle(make, tol):
+    system = make()
+    crits = find_critical_points(system)
+    want = _scipy_critical_points(system)
+    assert [c.id for c in crits] == [f"c{k}" for k in range(len(want))]
+    tangent = system.dim - 1 if system.on_sphere else system.dim
+    for c, (u, gnorm, eig) in zip(crits, want):
+        assert c.index == int(np.sum(eig < 0))
+        assert c.morse == bool(np.min(np.abs(eig)) > 1e-6)
+        assert abs(c.value - system.f(u)) < 1e-12
+        assert np.max(np.abs(c.location - u)) < tol
+        assert abs(c.gradient_norm - gnorm) < tol
+        # the unstable frame and the stable space: orthonormal columns,
+        # index and tangent dim - index of them, spanning the tangent space
+        up, down = _unstable_frame(system, c), _stable_space(system, c)
+        assert up.shape == (system.dim, c.index)
+        assert down.shape == (system.dim, tangent - c.index)
+        for frame in (up, down):
+            assert np.allclose(frame.T @ frame, np.eye(frame.shape[1]), rtol=0, atol=1e-12)
+        both = np.hstack([up, down])
+        if system.on_sphere:
+            assert np.all(np.abs(both.T @ c.location) < 1e-12)
+        assert np.linalg.svd(both, compute_uv=False)[-1] > 1e-3
 
 
 def test_torus_isolated_counts(torus_analysis):
@@ -142,12 +238,6 @@ def test_torus_special_angles_pinned(torus_analysis):
 
 
 # -- the row-batched flow engine ----------------------------------------
-
-
-def _custom_double():
-    return system_from_expression(
-        "x**3/3 - x + 1.3*(y**3/3 - y)", 2, box=[[-2.5, 2.5], [-2.5, 2.5]]
-    )
 
 
 @pytest.mark.parametrize(
