@@ -422,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a family description file")
-    gen.add_argument("what", choices=["cube", "torus", "sphere", "double"])
+    gen.add_argument("what", choices=["cube", *morse.BUILTIN_SYSTEMS])
     gen.add_argument("size", nargs="?", type=int, default=None)
     gen.add_argument("--out", default=None, help="output file or directory")
 
     ver = sub.add_parser("verify", help="build collars and run all checks")
     ver.add_argument(
         "--family", required=True,
-        help="family file, or built-in name (cubeN, torus, sphere, double)",
+        help="family file, or built-in name (cubeN, torus, sphere, well, double)",
     )
     ver.add_argument("--samples", type=int, default=1024)
     ver.add_argument("--tol", type=float, default=1e-9)

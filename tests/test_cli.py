@@ -6,6 +6,9 @@ import csv
 import gc
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,15 @@ def test_generate_out_with_trailing_separator_is_a_directory(tmp_path, capsys):
 def test_generate_cube_needs_size(tmp_path, capsys):
     assert main(["generate", "cube", "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_generate_well_writes_a_family_that_verifies(tmp_path, capsys):
+    assert main(["generate", "well", "--out", f"{tmp_path}/"]) == 0
+    out = tmp_path / "well.json"
+    assert load_family(out).name == "well"
+    assert main(["verify", "--family", str(out), "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+    assert checks and all(c["pass"] for c in checks)
 
 
 def test_verify_cube2_passes(tmp_path, capsys):
@@ -425,11 +437,19 @@ def test_every_benchmark_probe_resolves():
 
 
 def test_only_the_flow_integrators_import_scipy():
-    # the collar side stays numpy-only; the flow integrators import only
-    # these scipy names (morse.py keeps solve_ivp for a benchmark probe)
+    # the library is numpy-only: its one scipy name is the solve_ivp that
+    # morse.__getattr__ imports when a benchmark probe asks for it, and no
+    # module imports scipy at module level (a function name of None)
     imported = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        enclosing = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
@@ -437,9 +457,40 @@ def test_only_the_flow_integrators_import_scipy():
             else:
                 continue
             if names:
-                imported.setdefault(path.name, set()).update(names)
+                key = (path.name, enclosing.get(id(node)))
+                imported.setdefault(key, set()).update(names)
     assert len(list(PACKAGE.glob("*.py"))) > 5
-    assert imported == {
-        "morse.py": {"solve_ivp", "cKDTree"},
-        "dop853.py": {"dop853_coefficients"},
-    }, imported
+    assert imported == {("morse.py", "__getattr__"): {"solve_ivp"}}, imported
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+
+import strataglue.cli
+from strataglue import analyze, save_family, tilted_torus
+from strataglue.cli import main
+from strataglue.morse import check_transversality
+
+out = sys.argv[1]
+assert main(["verify", "--family", "cube3", "--out", out]) == 0
+analysis = analyze(tilted_torus())
+save_family(analysis.to_family(), out + "/torus.json")
+assert main(["verify", "--family", out + "/torus.json", "--out", out]) == 0
+check_transversality(analysis.system, "c0", "c1", analysis=analysis)
+assert main(["generate", "well", "--out", out + "/"]) == 0
+assert main(["morse", "--system", "well", "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_the_library_runs_without_loading_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

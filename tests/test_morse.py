@@ -935,3 +935,62 @@ def test_hausdorff_equals_dense_pass_on_end_table_shots(torus_analysis):
         steps.append(np.linalg.norm(np.diff(shots[0].points, axis=0), axis=1))
     steps = np.concatenate(steps)
     assert steps.min() < 1e-4 and steps.max() > 0.1
+
+
+# the nearest-vertex bound: cases where a rounded argmin could go wrong
+
+
+def _helix(n, turns=3.0):
+    s = np.linspace(0.0, 1.0, n)
+    return np.stack([np.cos(2 * np.pi * turns * s), np.sin(2 * np.pi * turns * s), s], axis=1)
+
+
+def test_hausdorff_identical_curves_take_the_zero_bound(monkeypatch):
+    # every point but the last is the start of a segment of the other
+    # copy, so its bound is 0 and only the chunk holding the last point
+    # is measured in each direction
+    P = _helix(500)
+    want, want_union = _dense_hausdorff(P, P), _dense_to_union(P, [P])
+    calls, kernel = [], morse._points_to_polyline
+    monkeypatch.setattr(
+        morse, "_points_to_polyline", lambda A, B: calls.append(len(A)) or kernel(A, B)
+    )
+    assert hausdorff(P, P.copy()) == want
+    assert calls == [morse._CHUNK, morse._CHUNK]
+    assert hausdorff_to_union(P, [P.copy()]) == want_union
+
+
+def test_hausdorff_curve_through_vertices_of_the_other():
+    # every third vertex of P is a vertex of Q, the rest lie just off Q
+    Q = _helix(301)
+    P = Q + 1e-6 * np.random.default_rng(0).normal(size=Q.shape)
+    P[::3] = Q[::3]
+    for a, b in [(P, Q), (Q, P), (P[::2], Q), (Q, P[1::2])]:
+        assert hausdorff(a, b) == _dense_hausdorff(a, b)
+    parts = [Q[:120], Q[119:250], Q[249:]]
+    assert hausdorff_to_union(P, parts) == _dense_to_union(P, parts)
+
+
+def test_hausdorff_single_point_side():
+    Q = _helix(200)
+    for point in (Q[:1], Q[57:58], np.array([[0.3, -0.2, 0.5]])):
+        assert hausdorff(point, Q) == _dense_hausdorff(point, Q)
+        assert hausdorff(Q, point) == _dense_hausdorff(Q, point)
+        # hausdorff_to_union takes polylines; a point is a degenerate one
+        degenerate = point.repeat(2, axis=0)
+        assert hausdorff_to_union(degenerate, [Q]) == _dense_to_union(degenerate, [Q])
+        assert hausdorff_to_union(Q, [degenerate]) == _dense_to_union(Q, [degenerate])
+
+
+@pytest.mark.parametrize("gram", [None, 1, 7, 500])
+def test_hausdorff_with_gram_blocks_smaller_than_the_product(gram, monkeypatch):
+    # 400 x 300 vertices exceed the default cap; the small caps also force
+    # one row per block (1, 7) and a partial last block (500)
+    P = _helix(400)
+    Q = _helix(300, turns=3.1)[::-1] + 1e-3
+    assert len(P) * len(Q) > morse._GRAM
+    want, want_union = _dense_hausdorff(P, Q), _dense_to_union(P, [Q[:150], Q[149:]])
+    if gram is not None:
+        monkeypatch.setattr(morse, "_GRAM", gram)
+    assert hausdorff(P, Q) == want
+    assert hausdorff_to_union(P, [Q[:150], Q[149:]]) == want_union

@@ -1,10 +1,13 @@
-"""Row-vectorized Brent root finding against scipy's scalar brentq."""
+"""Row-vectorized Brent root finding against scipy's scalar brentq, and
+the in-repo DOP853 tableau against scipy's."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
+from strataglue import dop853
 from strataglue.numerics import brentq_rows
 
 EPS = np.finfo(float).eps
@@ -137,3 +140,27 @@ def test_brentq_rows_passes_each_row_its_own_index():
     for i, t in enumerate(targets):
         assert got[i] == brentq(lambda x: x * x * x - t, -3.0, 3.0)
     assert brentq_rows(f, [], [], 2e-12).shape == (0,)
+
+
+def _dense_terms(rows, shape):
+    out = np.zeros(shape)
+    for i, terms in enumerate(rows):
+        for j, a in terms:
+            assert a != 0.0 and out[i, j] == 0.0
+            out[i, j] = a
+    return out
+
+
+def test_dop853_tableau_equals_scipy():
+    # the written-in coefficients are scipy's float64 values, bit for bit
+    ref = dop853_coefficients
+    assert (dop853.N_STAGES, dop853.N_STAGES_EXTENDED) == (ref.N_STAGES, ref.N_STAGES_EXTENDED)
+    assert len(dop853._A) == ref.A.shape[0] and len(dop853._D) == ref.D.shape[0]
+    for ours, want in [
+        (dop853._A, ref.A),
+        (dop853._D, ref.D),
+        ([dop853._B], ref.B[None]),
+        ([dop853._E3], ref.E3[None]),
+        ([dop853._E5], ref.E5[None]),
+    ]:
+        assert _dense_terms(ours, want.shape).tobytes() == want.astype(float).tobytes()
