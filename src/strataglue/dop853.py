@@ -6,6 +6,8 @@ stage, solution, error and interpolant sum, exact to the last bit of
 the float64 values scipy's ``DOP853`` uses.
 """
 
+import math
+
 import numpy as np
 
 from .numerics import brentq_rows
@@ -19,6 +21,9 @@ _EPS = np.finfo(float).eps
 # accepted row-steps whose 13 stages are held before their interpolants
 # are built in one batch: bounds the memory, amortizes the extra stages
 _BLOCK = 512
+# states one Dop853Rows evaluation computes at a time: bounds its
+# temporaries
+_EVAL = 1024
 
 # the solution weights and the two error estimators, over K[0..11]
 _B = [
@@ -199,39 +204,121 @@ def _dense(fun, y_old, y_new, K, h):
 
 
 class Dop853Path:
-    """Dense output of one integrated row.
+    """Dense output of one integrated row: views into its batch's table.
 
     ``t`` holds the start, every step end and the final time (an event
     root, when a terminal event stopped the row).  Calling the path at
     a time gives a (dim,) state, at an array of m times an (m, dim)
     array.  It evaluates the step interpolants the way scipy's
     ``OdeSolution`` does: the step is found by a left-sided search of
-    ``t`` and evaluated by Horner's rule in ``x`` and ``1 - x``.
+    the step starts and evaluated by Horner's rule in ``x`` and
+    ``1 - x``.
     ``event`` is the index of the terminal event that stopped the row,
-    or None.
+    or None; ``batch`` and ``row`` name the row in its ``Dop853Rows``.
     """
 
-    def __init__(self, t, t_old, h, y_old, F, event):
-        self.t = t
-        self.event = event
-        self._t_old, self._h, self._y_old, self._F = t_old, h, y_old, F
+    def __init__(self, batch, row):
+        a, b = batch._start[row:row + 2]
+        self.batch, self.row = batch, row
+        self.event = batch.event[row]
+        self._t_old, self._h, self._y_old, self._F = (
+            part[a:b] for part in batch._steps
+        )
+
+    @property
+    def t(self):
+        return np.append(self._t_old, self.batch.t_final[self.row])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        seg = np.searchsorted(self.t, t, side="left") - 1
+        # the step starts are t without its final time: a search of t
+        # finds the same step, or one past the last, which the clip takes
+        # back
+        seg = np.searchsorted(self._t_old, t, side="left") - 1
         seg = np.minimum(np.maximum(seg, 0), len(self._h) - 1)
         x = ((t - self._t_old[seg]) / self._h[seg])[..., None]
-        return _horner(self._F[seg], x, self._y_old[seg])
+        return _horner(self._F, seg, x, self._y_old)
 
 
-def _horner(F, x, y_old):
-    """The DOP853 interpolant at step fractions x: F is (..., 7, dim),
-    x broadcasts against (..., dim)."""
-    y = np.zeros(F.shape[:-2] + F.shape[-1:])
-    for i in range(F.shape[-2]):
-        y += F[..., -1 - i, :]
+class Dop853Rows:
+    """Dense output of one ``dop853_rows`` batch, as one step table.
+
+    The table holds every accepted step, row by row and each row's in
+    time order: its start time, length, start state and interpolant.
+    Indexing or iterating gives each row as a ``Dop853Path`` of views
+    into the table, as a list of paths would; calling the batch
+    evaluates many rows at once.
+    ``t0`` is the start of every row, ``t_final`` holds each row's final
+    time and ``event`` each row's stopping event.
+    """
+
+    def __init__(self, t0, counts, t_old, h, y_old, F, t_final, event):
+        self.t0 = t0
+        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self._steps = (t_old, h, y_old, F)
+        # (row, step start) as one complex key sorts lexicographically,
+        # so one search finds the steps of every row
+        self._key = _keys(np.repeat(np.arange(len(counts)), counts), t_old)
+        self.t_final, self.event = t_final, event
+
+    def __len__(self):
+        return len(self.event)
+
+    def __getitem__(self, row):
+        rows = range(len(self))[row]  # an int or a slice, as for a list
+        if isinstance(rows, range):
+            return [Dop853Path(self, r) for r in rows]
+        return Dop853Path(self, rows)
+
+    def __call__(self, t, rows=None):
+        """Row ``rows[i]`` (row i by default) at ``t[i]``: one time per
+        row gives (k, dim) states, one row of m times per row (k, m,
+        dim).  Row i equals, bit for bit, ``self[rows[i]](t[i])``.
+
+        Rows go ``_EVAL`` states at a time through one search and one
+        ``_horner`` call, which bounds the temporaries.
+        """
+        t_old, h, y_old, F = self._steps
+        t = np.asarray(t, dtype=float)
+        rows = np.arange(len(t)) if rows is None else np.asarray(rows, dtype=int)
+        out = np.empty(t.shape + y_old.shape[1:])
+        each = max(1, _EVAL // max(1, math.prod(t.shape[1:])))
+        for a in range(0, len(t), each):
+            s = t[a:a + each]
+            r = rows[a:a + each].reshape((-1,) + (1,) * (s.ndim - 1))
+            seg = np.searchsorted(self._key, _keys(r, s), side="left") - 1
+            seg = np.minimum(np.maximum(seg, self._start[r]), self._start[r + 1] - 1)
+            x = ((s - t_old[seg]) / h[seg])[..., None]
+            out[a:a + each] = _horner(F, seg, x, y_old)
+        return out
+
+    def sample(self, samples, rows=None):
+        """Times and states of each row (of ``rows``) at ``samples``
+        times from ``t0`` to its final time: row i of the times is, bit
+        for bit, ``np.linspace(t0, t_final[i], samples)``."""
+        t1 = self.t_final if rows is None else self.t_final[rows]
+        step = (t1 - self.t0) / (samples - 1)
+        ts = np.arange(samples) * step[:, None] + self.t0
+        ts[:, -1] = t1
+        return ts, self(ts, rows)
+
+
+def _keys(rows, t):
+    """The complex keys row + i t, exactly."""
+    key = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(t)), dtype=complex)
+    key.real, key.imag = rows, t
+    return key
+
+
+def _horner(F, seg, x, y_old):
+    """The DOP853 interpolant of steps ``seg`` at step fractions x: F is
+    the (steps, 7, dim) table of coefficients, y_old the steps' start
+    states; x broadcasts against (seg..., dim)."""
+    y = np.zeros(np.shape(seg) + F.shape[-1:])
+    for i in range(F.shape[1]):
+        y += F[seg, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+    return y + y_old[seg]
 
 
 def dop853_rows(fun, y0, t_span, rtol, atol, events):
@@ -257,14 +344,18 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
 
     Rows advance in lockstep and stopped rows drop out.  Stage sums
     are elementwise, so each row's path equals, bit for bit, the path
-    of a batch holding that row alone.  Returns one ``Dop853Path`` per
-    row.
+    of a batch holding that row alone.  Returns the batch's dense
+    output as one ``Dop853Rows``; ``y0`` must be (n, dim), n may be 0.
     """
-    if not len(y0):
-        return []
     t0, t_end = map(float, t_span)
     y = np.array(y0, dtype=float)
     n, dim = y.shape
+    if not n:
+        no_steps = np.empty(0)
+        return Dop853Rows(
+            t0, np.zeros(0, dtype=int), no_steps, no_steps, y,
+            np.empty((0, 7, dim)), no_steps, [],
+        )
     rows = np.arange(n)
     t = np.full(n, t0)
     f = fun(y)
@@ -335,22 +426,36 @@ def dop853_rows(fun, y0, t_span, rtol, atol, events):
 
     if pending:
         built.append(_interpolants(fun, pending))
-    steps = [np.concatenate(part) for part in zip(*built)]
-    del built, pending  # the blocks, before the rows take their copies
-    # a stable sort keeps each row's steps in time order
-    order = np.argsort(steps[0], kind="stable")
-    counts = np.bincount(steps[0], minlength=n)
+    del pending
+    step_rows = np.concatenate([block[0] for block in built])
+    counts = np.bincount(step_rows, minlength=n)
+    # each step's place in the table: a stable sort keeps each row's
+    # steps in time order.  The blocks are scattered there one by one
+    # and dropped, so the table is never held twice
+    place = np.empty(len(step_rows), dtype=int)
+    place[np.argsort(step_rows, kind="stable")] = np.arange(len(step_rows))
+    steps = [np.empty((len(place),) + part.shape[1:]) for part in built[0][1:]]
+    at = 0
+    for i, block in enumerate(built):
+        built[i] = None
+        for table, part in zip(steps, block[1:]):
+            table[place[at:at + len(part)]] = part
+        at += len(block[0])
+    del block
+    t_old, t_new, h, y_old, F = steps
+    event, t_final = np.full(n, None), np.empty(n)
+    for r, (e, tr) in ends.items():
+        event[r], t_final[r] = e, tr
     stopped = np.concatenate(hit_rows)
     if len(stopped):
         # an event stopped each of these rows on its last step
-        last = order[np.cumsum(counts)[stopped] - 1]
+        last = np.cumsum(counts)[stopped] - 1
         roots, which = _event_roots(
-            fun, events, [part[last] for part in steps[1:]],
+            fun, events, [part[last] for part in steps],
             np.concatenate(hit_masks, axis=1),
         )
-        for r, e, root in zip(stopped, which, roots):
-            ends[r] = (int(e), root)
-    return _paths(t0, steps, order, counts, ends)
+        event[stopped], t_final[stopped] = which.astype(int).tolist(), roots
+    return Dop853Rows(t0, counts, t_old, h, y_old, F, t_final, event.tolist())
 
 
 def _event_roots(fun, events, steps, hits):
@@ -370,7 +475,7 @@ def _event_roots(fun, events, steps, hits):
 
         def gap(s, i):
             j = k[i]
-            Y = _horner(F[j], ((s - t_old[j]) / h[j])[:, None], y_old[j])
+            Y = _horner(F, j, ((s - t_old[j]) / h[j])[:, None], y_old)
             return ev(Y, fun(Y))
 
         roots[e, k] = brentq_rows(gap, t_old[k], t_new[k], 4 * _EPS, 4 * _EPS)
@@ -384,16 +489,3 @@ def _interpolants(fun, steps):
     rows, t_old, t_new, h, y_old, y_new = map(np.concatenate, parts[:6])
     F = _dense(fun, y_old, y_new, np.concatenate(parts[6], axis=1), h)
     return rows, t_old, t_new, h, y_old, F
-
-
-def _paths(t0, steps, order, counts, ends):
-    """Split the interpolated steps, ``order`` sorting them by row, into
-    one ``Dop853Path`` per row."""
-    _, t_old, t_new, h, y_old, F = steps
-    paths = []
-    for r, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-        event, t_final = ends[r]
-        ts = np.concatenate([[t0], t_new[idx]])
-        ts[-1] = t_final
-        paths.append(Dop853Path(ts, t_old[idx], h[idx], y_old[idx], F[idx], event))
-    return paths

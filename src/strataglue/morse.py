@@ -37,6 +37,9 @@ from .poset import CriticalPoint
 TWO_PI = 2.0 * math.pi
 # bisection rounds whose midpoints the sweep shoots as one batch
 _LOOKAHEAD = 3
+# groups of whole arcs, each shot as one batch: one batch for all four
+# torus arcs raised peak RSS by about 4 MB
+_ARC_BATCHES = 2
 # the longest step of a seed's Newton iteration in find_critical_points
 _NEWTON_STEP = 0.5
 
@@ -152,9 +155,7 @@ class MorseSystem:
         return u
 
     def distance(self, a, b) -> float:
-        return float(
-            np.linalg.norm(self.embed([a])[0] - self.embed([b])[0])
-        )
+        return float(np.linalg.norm(self.embed([a])[0] - self.embed([b])[0]))
 
     def in_box(self, u, margin: float = 0.0):
         """Whether each row of u lies in the box shrunk by margin."""
@@ -514,11 +515,13 @@ def integrate_flow(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     stop_speed: float = 1e-7,
-    samples: int = 400,
+    samples=400,
 ):
     """Integrate the negative-gradient flow from x: one ``FlowSegment``
     from a (dim,) start, or a list from the rows of an (n, dim) block,
-    as one batch, each bit for bit its one-row run.
+    as one batch, each bit for bit its one-row run.  ``samples`` is
+    one count for every row or one count per row; the rows of each
+    count are sampled by one evaluation of the batch.
 
     Stops when the speed drops below ``stop_speed`` (converged to a
     critical point), when the path leaves the bounding box (exited),
@@ -533,12 +536,17 @@ def integrate_flow(
         events.append(
             lambda Y, F: np.min(np.minimum(Y - lo, hi - Y), axis=-1) + 1e-9
         )
-    paths = dop853_rows(system.rhs, np.atleast_2d(X), t_span, rtol, atol, events)
-    out = []
-    for path in paths:
-        status = "time" if path.event is None else ("converged", "exited")[path.event]
-        ts = np.linspace(path.t[0], path.t[-1], samples)
-        out.append(FlowSegment(times=ts, states=path(ts), status=status, sol=path))
+    paths = dop853_rows(
+        system.rhs, np.reshape(X, (-1, system.dim)), t_span, rtol, atol, events
+    )
+    counts = np.broadcast_to(samples, len(paths))
+    out = [None] * len(paths)
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        for r, ts, states in zip(rows, *paths.sample(m, rows)):
+            event = paths.event[r]
+            status = "time" if event is None else ("converged", "exited")[event]
+            out[r] = FlowSegment(ts, states, status, paths[r])
     return out[0] if X.ndim == 1 else out
 
 
@@ -546,12 +554,16 @@ def _level_crossings(system, paths, lo, hi, levels, fallback) -> np.ndarray:
     """Row i: where f crosses ``levels[i]`` along ``paths[i]`` on
     [lo[i], hi[i]]; one ``brentq_rows`` call (xtol 1e-12), bit for bit
     scipy's ``brentq``.  A row whose f - level has one nonzero sign,
-    or a NaN, at both ends keeps ``fallback[i]`` (``brentq`` raised)."""
+    or a NaN, at both ends keeps ``fallback[i]`` (``brentq`` raised).
+    The paths are rows of one batch, evaluated together."""
     out = np.array(fallback, dtype=float).reshape(-1, system.dim)
+    if not len(out):
+        return out
     lo, hi, levels = (np.asarray(v, dtype=float) for v in (lo, hi, levels))
+    batch, index = paths[0].batch, np.array([path.row for path in paths])
 
     def at(t, rows):
-        return np.reshape([paths[r](s) for r, s in zip(rows, t)], (-1, system.dim))
+        return batch(t, index[rows])
 
     def gap(t, rows):
         return system.f(at(t, rows)) - levels[rows]
@@ -636,8 +648,8 @@ def _make_trajectories(
     ``source`` to ``targets[i]``.
 
     ``truncate`` cuts each segment at its closest approach to its
-    target (used for limits into a saddle); ``prefixes[i]`` (states,
-    times) goes before segment i.  Each path is prepended/appended with
+    target (used for limits into a saddle); row i of the prefix arrays
+    (states, times) goes before segment i.  Each path is prepended/appended with
     the exact endpoint locations, and anchored where f crosses the
     pair's mid level, by one ``_level_crossings`` call.
     """
@@ -659,11 +671,9 @@ def _make_trajectories(
     out = []
     for i, (states, times) in enumerate(cut):
         if prefixes is not None:
-            pre_states, pre_times = prefixes[i]
-            head = np.vstack([source.location, pre_states])
-            head_times = np.concatenate(
-                [[times[0] + pre_times[0] - 1.0], times[0] + pre_times]
-            )
+            head = np.vstack([source.location, prefixes[0][i]])
+            pre_times = times[0] + prefixes[1][i]
+            head_times = np.concatenate([[pre_times[0] - 1.0], pre_times])
         else:
             head = np.atleast_2d(source.location)
             head_times = np.array([times[0] - 1.0])
@@ -868,6 +878,7 @@ class ModuliAnalysis:
             raise InputError(f"degenerate (non-Morse) critical points: {bad}")
         self.pairs: dict[tuple[str, str], PairData] = {}
         self._sweeps: dict[str, dict] = {}
+        self._descents: dict | None = None  # filled by _saddle_descents
         self._angles: dict | None = None  # filled by check_transversality
         self._compute()
 
@@ -875,12 +886,8 @@ class ModuliAnalysis:
 
     def _compute(self):
         crits = self.critical_points
-        dim = 2 if self.system.on_sphere else self.system.dim
         todo = [
-            (p, q)
-            for p in crits
-            for q in crits
-            if p.value > q.value and p.index > q.index
+            (p, q) for p in crits for q in crits if p.value > q.value and p.index > q.index
         ]
         # isolated pairs first: arcs match their ends against them
         todo.sort(key=lambda pq: pq[0].index - pq[1].index)
@@ -915,26 +922,33 @@ class ModuliAnalysis:
         )
 
     def _saddle_descents(self, p, q) -> list[Trajectory]:
-        frame = _unstable_frame(self.system, p)
-        angles = (0.0, math.pi)
-        X = [_shoot_start(self.system, p, frame, angle) for angle in angles]
-        segs = integrate_flow(self.system, X)
-        near, dist = _nearest_crits(
-            self.system, self.critical_points, [seg.states[-1] for seg in segs]
-        )
-        hits = [
-            i for i, (seg, c, d) in enumerate(zip(segs, near, dist))
-            if seg.status == "converged" and self.critical_points[c].id == q.id and d <= 1e-4
-        ]
-        return _make_trajectories(
-            self.system, p, [q] * len(hits), [segs[i] for i in hits], [angles[i] for i in hits]
-        )
+        """The trajectories from the index-1 point p down to q.  The
+        first call shoots both descents of every index-1 point as one
+        batch, and keeps each one that lands on the analysis, by pair."""
+        if self._descents is None:
+            system, crits, self._descents = self.system, self.critical_points, {}
+            saddles = [c for c in crits if c.index == 1]
+            angles = (0.0, math.pi)
+            X = [
+                _shoot_start(system, c, _unstable_frame(system, c), angle)
+                for c in saddles for angle in angles
+            ]
+            segs = integrate_flow(system, X)
+            near, dist = _nearest_crits(system, crits, [seg.states[-1] for seg in segs])
+            landed = [seg.status == "converged" and d <= 1e-4 for seg, d in zip(segs, dist)]
+            for k, c in enumerate(saddles):
+                hits = [i for i in (2 * k, 2 * k + 1) if landed[i]]
+                for traj in _make_trajectories(
+                    system, c, [crits[near[i]] for i in hits], [segs[i] for i in hits],
+                    [angles[i % 2] for i in hits],
+                ):
+                    self._descents.setdefault((c.id, traj.target), []).append(traj)
+        return self._descents.get((p.id, q.id), [])
 
     # -- shooting sweep from an index-2 point ---------------------------
 
     def _launch_level(self, p) -> float:
-        below = [c.value for c in self.critical_points if c.value < p.value]
-        top = max(below)
+        top = max(c.value for c in self.critical_points if c.value < p.value)
         return p.value - 0.25 * (p.value - top)
 
     def _launch(self, p, frame, angles) -> np.ndarray:
@@ -996,22 +1010,20 @@ class ModuliAnalysis:
 
     def _back_prefix(self, p, X0, samples: int = 60):
         """Backward paths from the rows of X0 up to (near) p, as one
-        batch; each is (states, times), ordered p -> x0."""
+        batch: (n, samples - 1, dim) states and (n, samples - 1) times,
+        each row ordered p -> x0 and without x0 itself."""
         system = self.system
         if system.on_sphere:
             # rhs_back is not -rhs there, so the stop test needs rhs
             speed = lambda Y, F: _speed(system.rhs(Y)) - 1e-9
         else:
             speed = lambda Y, F: _speed(F) - 1e-9
-        paths = dop853_rows(
-            system.rhs_back, X0, (0.0, 200.0), 1e-10, 1e-12, [speed]
-        )
-        out = []
-        for path in paths:
-            ts = np.linspace(path.t[0], path.t[-1], samples)
-            # backward time s corresponds to flow time -s before the launch
-            out.append((path(ts)[::-1][:-1], -ts[::-1][:-1]))
-        return out
+        ts, states = dop853_rows(
+            system.rhs_back, np.reshape(X0, (-1, system.dim)), (0.0, 200.0),
+            1e-10, 1e-12, [speed],
+        ).sample(samples)
+        # backward time s corresponds to flow time -s before the launch
+        return states[:, :0:-1], -ts[:, :0:-1]
 
     def _classify(self, p, frame, angles, level, rtol=1e-8):
         """Integrate one shot per angle, as one batch, and summarize
@@ -1189,10 +1201,8 @@ class ModuliAnalysis:
             circ = self._loop_length(p, q)
             return PairData((p.id, q.id), 1, circle=circ)
         angles = [s["angle"] for s in special]
-        spans = []
-        for i, lo in enumerate(angles):
-            hi = angles[(i + 1) % len(angles)]
-            spans.append((lo, hi + TWO_PI if hi <= lo else hi))
+        nexts = angles[1:] + angles[:1]
+        spans = [(lo, hi + TWO_PI if hi <= lo else hi) for lo, hi in zip(angles, nexts)]
         mids = [0.5 * (lo + hi) for lo, hi in spans]
         marks = self._classify(p, sweep["frame"], mids, sweep["level"])
         arcs = [
@@ -1215,104 +1225,106 @@ class ModuliAnalysis:
 
     def _special_by_angle(self, p, angle):
         for s in self._sweep(p)["special"]:
-            if abs((s["angle"] - angle) % TWO_PI) < 1e-9 or abs(
-                (s["angle"] - angle) % TWO_PI - TWO_PI
-            ) < 1e-9:
+            gap = (s["angle"] - angle) % TWO_PI
+            if min(gap, TWO_PI - gap) < 1e-9:
                 return s
         raise InputError(f"no special shot at angle {angle}")
 
     def _match_arc_ends(self, p, q, data: PairData):
-        sides = [
-            (arc, side, angle)
-            for arc in data.arcs
-            for side, angle in ((0, arc.angle_lo), (1, arc.angle_hi))
-        ]
-        # below ~1e-8 the saddle passage is at integrator noise level and
-        # the probe may hop branches; 1e-6 is safe.  One batch probes
-        # every end and shoots every arc's two midpoints, where its end
-        # tables meet.
-        probe_angles = [
-            angle + (1 if side == 0 else -1)
-            * min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
-            for arc, side, angle in sides
-        ]
-        mid_angles = []
-        for arc in data.arcs:
-            half = _end_offsets(arc)[-1]
-            mid_angles += [arc.angle_lo + half, arc.angle_hi - half]
-        shots = self._shot_trajectory(p, q, probe_angles + mid_angles)
-        probes, mids = shots[:len(sides)], shots[len(sides):]
-        ends = []
-        for (arc, side, angle), probe in zip(sides, probes):
-            special = self._special_by_angle(p, angle)
-            junction = special["target"]
-            for part in ((p.id, junction), (junction, q.id)):
-                if part not in self.pairs:
-                    # the broken limit's half never lands: the saddle's
-                    # descent runs into another saddle instead
-                    raise InputError(
-                        f"arc of ({p.id},{q.id}) breaks at {junction} at "
-                        f"special angle {angle:.12g}, but ({part[0]},{part[1]}) "
-                        "has no isolated trajectory: a saddle-saddle "
-                        "connection, so the flow is not Morse-Smale"
-                    )
-            left, right = self._broken_parts(p, q, junction)
-            li = next(
-                i for i, t in enumerate(left)
-                if abs(t.angle - special["trajectory"].angle) < 1e-9
-            )
-            best_ri, best_h = None, np.inf
-            for ri, rtraj in enumerate(right):
-                h = hausdorff_to_union(
-                    probe.points,
-                    [left[li].points, rtraj.points],
+        """Match every arc end of (p, q) to a broken pair, and measure
+        each arc's end tables and length.  The arcs go in at most
+        ``_ARC_BATCHES`` groups of whole arcs, each shot as one batch
+        (``_arc_shots``) and freed before the next; each arc's shots
+        are embedded as polylines p -> q, used, and dropped."""
+        system, arcs = self.system, data.arcs
+        size = -(-len(arcs) // _ARC_BATCHES)
+        for group in (arcs[i:i + size] for i in range(0, len(arcs), size)):
+            for arc, shots in zip(group, self._arc_shots(p, group)):
+                curves = [
+                    system.embed(np.vstack([p.location, pre, states, q.location]))
+                    for pre, states in shots
+                ]
+                arc.ends = tuple(
+                    self._match_end(p, q, angle, probe)
+                    for angle, probe in zip((arc.angle_lo, arc.angle_hi), curves)
                 )
-                if h < best_h:
-                    best_ri, best_h = ri, h
-            ends.append(
-                ArcEndData(
-                    junction=junction, left_index=li, right_index=best_ri,
-                    angle=angle, hausdorff=best_h,
+                arc.length = self._arc_length(p, q, arc, curves[4:], *curves[2:4])
+            del shots, curves  # the group's samples, before the next batch
+
+    def _arc_shots(self, p, arcs):
+        """Per arc, its shots as (prefix states, forward states), from one
+        launch, one forward and one backward batch: a probe inside each
+        end and the midpoints where its end tables meet (500 samples),
+        then the table shots of its low end and its high end (300)."""
+        angles, samples = [], []
+        for arc in arcs:
+            offsets = _end_offsets(arc)
+            # below ~1e-8 the saddle passage is at integrator noise level
+            # and the probe may hop branches; 1e-6 is safe
+            probe = min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
+            angles += [
+                arc.angle_lo + probe, arc.angle_hi - probe,
+                arc.angle_lo + offsets[-1], arc.angle_hi - offsets[-1],
+                *(arc.angle_lo + offsets), *(arc.angle_hi - offsets),
+            ]
+            samples += [500] * 4 + [300] * (2 * len(offsets))
+        X = self._launch(p, self._sweep(p)["frame"], angles)
+        # forward first: its dense output is the peak, and no prefix waits
+        states = [seg.states for seg in integrate_flow(self.system, X, samples=samples)]
+        shots = list(zip(self._back_prefix(p, X)[0], states))
+        per_arc = len(shots) // len(arcs)
+        return [shots[i:i + per_arc] for i in range(0, len(shots), per_arc)]
+
+    def _match_end(self, p, q, angle, probe) -> ArcEndData:
+        """The broken pair of the arc end at special ``angle``: the half
+        into q nearest (Hausdorff) to the embedded ``probe``."""
+        special = self._special_by_angle(p, angle)
+        junction = special["target"]
+        for part in ((p.id, junction), (junction, q.id)):
+            if part not in self.pairs:
+                # the broken limit's half never lands: the saddle's
+                # descent runs into another saddle instead
+                raise InputError(
+                    f"arc of ({p.id},{q.id}) breaks at {junction} at "
+                    f"special angle {angle:.12g}, but ({part[0]},{part[1]}) "
+                    "has no isolated trajectory: a saddle-saddle "
+                    "connection, so the flow is not Morse-Smale"
                 )
-            )
-        for i, arc in enumerate(data.arcs):
-            arc.ends = tuple(ends[2 * i:2 * i + 2])
-            arc.length = self._arc_length(p, q, arc, *mids[2 * i:2 * i + 2])
+        left, right = self._broken_parts(p, q, junction)
+        angle_in = special["trajectory"].angle
+        li = next(i for i, t in enumerate(left) if abs(t.angle - angle_in) < 1e-9)
+        best_ri, best_h = None, np.inf
+        for ri, rtraj in enumerate(right):
+            h = hausdorff_to_union(probe, [left[li].points, rtraj.points])
+            if h < best_h:
+                best_ri, best_h = ri, h
+        return ArcEndData(junction, li, best_ri, angle, best_h)
 
     # -- arc-length tables (gluing parameter) ---------------------------
 
-    def _end_table(self, p, q, arc: ModuliArc, side: int):
-        """Cumulative Hausdorff-metric arc length from one arc end.
-
-        Returns (offsets from the end angle, cumulative lengths), both
-        increasing, starting at the boundary (offset ~0, length 0).
-        The first call shoots the tables of both ends as one batch.
-        """
-        if side not in arc._tables:
-            offsets = _end_offsets(arc)
-            angles = np.concatenate([arc.angle_lo + offsets, arc.angle_hi - offsets])
-            trajs = self._shot_trajectory(p, q, angles, samples=300)
-            for key, end_data in enumerate(arc.ends):
-                half = trajs[key * len(offsets):(key + 1) * len(offsets)]
-                left, right = self._broken_parts(p, q, end_data.junction)
-                broken = [
-                    left[end_data.left_index].points,
-                    right[end_data.right_index].points,
-                ]
-                # distance from the innermost sample to the boundary itself
-                lengths = [hausdorff_to_union(half[0].points, broken)]
-                for a, b in zip(half, half[1:]):
-                    lengths.append(lengths[-1] + hausdorff(a.points, b.points))
-                arc._tables[key] = (offsets, np.array(lengths))
+    def _end_table(self, p, q, arc: ModuliArc, side: int, curves):
+        """Cumulative Hausdorff-metric arc length from one arc end, over
+        its shots ``curves``: stores and returns (offsets from the end
+        angle, cumulative lengths), both increasing from the boundary
+        (offset ~0, length 0)."""
+        end = arc.ends[side]
+        left, right = self._broken_parts(p, q, end.junction)
+        broken = [left[end.left_index].points, right[end.right_index].points]
+        # distance from the innermost sample to the boundary itself
+        lengths = [hausdorff_to_union(curves[0], broken)]
+        for a, b in zip(curves, curves[1:]):
+            lengths.append(lengths[-1] + hausdorff(a, b))
+        arc._tables[side] = (_end_offsets(arc), np.array(lengths))
         return arc._tables[side]
 
-    def _arc_length(self, p, q, arc: ModuliArc, mid0, mid1) -> float:
-        """The arc's length: both end tables, plus the distance between
-        their innermost shots ``mid0`` and ``mid1``, which meet at the
-        arc midpoint."""
-        len0 = self._end_table(p, q, arc, 0)[1]
-        len1 = self._end_table(p, q, arc, 1)[1]
-        return float(len0[-1] + len1[-1] + hausdorff(mid0.points, mid1.points))
+    def _arc_length(self, p, q, arc: ModuliArc, curves, mid0, mid1) -> float:
+        """The arc's length: its end tables, over ``curves`` (the low
+        end's shots, then the high end's), plus the distance between the
+        midpoint shots ``mid0`` and ``mid1``, where the tables meet."""
+        half = len(curves) // 2
+        len0 = self._end_table(p, q, arc, 0, curves[:half])[1]
+        len1 = self._end_table(p, q, arc, 1, curves[half:])[1]
+        return float(len0[-1] + len1[-1] + hausdorff(mid0, mid1))
 
     def _loop_length(self, p, q) -> float:
         n = max(self.resolution, 32)
@@ -1362,7 +1374,7 @@ class ModuliAnalysis:
     def _glue_on_arc(self, p_id, q_id, arc, side, lam):
         p = self.by_id[p_id]
         q = self.by_id[q_id]
-        offsets, lengths = self._end_table(p, q, arc, side)
+        offsets, lengths = arc._tables[side]
         if lam > lengths[-1]:
             raise RangeError(
                 f"gluing parameter {lam} beyond arc extent {lengths[-1]:.4g}"
@@ -1393,22 +1405,13 @@ class ModuliAnalysis:
                 arcs = []
                 for arc in data.arcs:
                     if any(e is None for e in arc.ends):
-                        raise InputError(
-                            f"arc of ({pid},{qid}) has an unresolved end"
-                        )
-                    arcs.append(
-                        ArcData(
-                            length=arc.length,
-                            ends=tuple(
-                                ArcEnd(e.junction, e.left_index, e.right_index)
-                                for e in arc.ends
-                            ),
-                        )
+                        raise InputError(f"arc of ({pid},{qid}) has an unresolved end")
+                    ends = tuple(
+                        ArcEnd(e.junction, e.left_index, e.right_index) for e in arc.ends
                     )
+                    arcs.append(ArcData(length=arc.length, ends=ends))
                 moduli[(pid, qid)] = PairModuli((pid, qid), 1, arcs=tuple(arcs))
-        return from_morse(
-            points, self.relations(), moduli, name=self.system.name
-        )
+        return from_morse(points, self.relations(), moduli, name=self.system.name)
 
 
 def _end_offsets(arc, depth: int = 25) -> np.ndarray:
@@ -1450,8 +1453,7 @@ def find_trajectories(system, p, q, resolution: int = 64, analysis=None):
     family representatives for index gap 2.
     """
     analysis = analysis or analyze(system, resolution)
-    pid = p if isinstance(p, str) else p.id
-    qid = q if isinstance(q, str) else q.id
+    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
     data = analysis.pairs.get((pid, qid))
     if data is None:
         return []
@@ -1476,8 +1478,7 @@ def detect_broken(system, p, q, analysis=None):
     """Boundary data of a one-dimensional moduli space: per-arc ends with
     matched broken pairs and their Hausdorff residuals."""
     analysis = analysis or analyze(system)
-    pid = p if isinstance(p, str) else p.id
-    qid = q if isinstance(q, str) else q.id
+    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
     data = analysis.pairs.get((pid, qid))
     if data is None or data.dim != 1:
         raise InputError(f"({pid},{qid}) has no one-dimensional moduli")
@@ -1505,8 +1506,7 @@ def check_transversality(system, p, q, analysis=None) -> dict:
     (``_frame_angles``) and caches the angles there.
     """
     analysis = analysis or analyze(system)
-    pid = p if isinstance(p, str) else p.id
-    qid = q if isinstance(q, str) else q.id
+    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
     pc, qc = analysis.by_id[pid], analysis.by_id[qid]
     expected_dim = pc.index - qc.index - 1
     data = analysis.pairs.get((pid, qid))
@@ -1597,7 +1597,7 @@ def _transport(system, Z, k) -> np.ndarray:
     live = np.arange(len(Z))
     for _ in range(60):
         paths = dop853_rows(field, Z[live], (0.0, 4.0), 1e-8, 1e-10, [])
-        ends = np.array([path(4.0) for path in paths])
+        ends = paths(np.full(len(live), 4.0))
         frames, _ = np.linalg.qr(ends[:, dim:].reshape(len(live), dim, k))
         ends[:, dim:] = frames.reshape(len(live), -1)
         Z[live] = ends

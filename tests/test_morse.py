@@ -19,7 +19,7 @@ from strataglue import (
     system_from_expression,
     tilted_torus,
 )
-from strataglue import morse
+from strataglue import dop853, morse
 from strataglue.dop853 import dop853_rows
 from strataglue.morse import (
     _points_to_polyline,
@@ -488,6 +488,55 @@ def test_dop853_rows_two_events_in_one_step():
         assert abs(path.t[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_dop853_rows_evaluated_rows_first(chunk, monkeypatch):
+    # a box exit, a run to the span's end and two slow convergences on
+    # the double system: rows of very different step counts
+    if chunk is not None:
+        monkeypatch.setattr(dop853, "_EVAL", chunk)  # many chunks per call
+    system = double_system()
+    X = np.array([[-1.5, 0.3], [0.1, -0.2], [1 + 1e-4, 1 + 2e-4], [0.9, 1.2]])
+    span = (0.0, 6.0)
+    batch = integrate_flow(system, X, span)[0].sol.batch
+    own = [integrate_flow(system, x, t_span=span).sol for x in X]
+    steps = [len(path._h) for path in own]
+    assert max(steps) > 3 * min(steps)
+    assert {path.event for path in own} == {None, 0, 1}
+    # per row: the start, every step end, the final time (an event root
+    # on stopped rows), the span's end, and times just outside the span
+    # and just past the row's final time, cycled to one length
+    times = [
+        np.concatenate([path.t, [6.0, -0.5, 6.5, path.t[-1] + 1e-3]]) for path in own
+    ]
+    m = max(len(t) for t in times)
+    T = np.array([np.resize(t, m) for t in times])
+    got = batch(T)
+    assert got.shape == (len(X), m, 2)
+    for r, path in enumerate(own):
+        assert batch[r].t.tobytes() == path.t.tobytes()
+        assert got[r].tobytes() == path(T[r]).tobytes()
+    for j in range(m):
+        want = np.array([path(T[r, j]) for r, path in enumerate(own)])
+        assert batch(T[:, j]).tobytes() == want.tobytes()
+    rows = [2, 0, 2, 3]
+    assert batch(T[rows], rows).tobytes() == got[rows].tobytes()
+    # sampling: the grid of each row is np.linspace's, whose last time
+    # is the end itself (not so by the step sum at 7 and 60 samples)
+    for m in (7, 37, 60):
+        ts, states = batch.sample(m)
+        for r, path in enumerate(own):
+            assert ts[r].tobytes() == np.linspace(0.0, path.t[-1], m).tobytes()
+            assert states[r].tobytes() == path(ts[r]).tobytes()
+    # a batch of one row, and an empty batch
+    one = own[1].batch
+    assert len(one) == 1 and one(T[1:2]).tobytes() == got[1:2].tobytes()
+    empty = dop853_rows(system.rhs, np.empty((0, 2)), span, 1e-10, 1e-12, [])
+    assert len(empty) == 0 and list(empty) == []
+    assert empty(np.empty(0)).shape == (0, 2)
+    assert [a.shape for a in empty.sample(5)] == [(0, 5), (0, 5, 2)]
+    assert integrate_flow(system, np.empty((0, 2))) == []
+
+
 def _scalar_launch(analysis, p, frame, angle):
     """One launch point: a bracket grown one step at a time, then scipy's
     brentq on f along the ray (or great circle)."""
@@ -921,20 +970,107 @@ def test_hausdorff_zero_vertex_bound():
 
 def test_hausdorff_equals_dense_pass_on_end_table_shots(torus_analysis):
     # consecutive end-table shots of every torus arc, at its low end on
-    # even arcs and its high end on odd ones: curves whose segments run
-    # from far below 1e-4 to above 0.1, the case the segment bound targets
+    # even arcs and its high end on odd ones, all in one batch: curves
+    # whose segments run from far below 1e-4 to above 0.1, the case the
+    # segment bound targets
     analysis = torus_analysis
     p, q = analysis.by_id["c0"], analysis.by_id["c3"]
-    steps = []
-    for i, arc in enumerate(analysis.pairs[("c0", "c3")].arcs):
+    arcs = analysis.pairs[("c0", "c3")].arcs
+    angles = []
+    for i, arc in enumerate(arcs):
         offsets = morse._end_offsets(arc)
-        angles = arc.angle_hi - offsets if i % 2 else arc.angle_lo + offsets
-        shots = analysis._shot_trajectory(p, q, angles, samples=300)
-        for a, b in zip(shots, shots[1:]):
+        angles.append(arc.angle_hi - offsets if i % 2 else arc.angle_lo + offsets)
+    shots = analysis._shot_trajectory(p, q, np.concatenate(angles), samples=300)
+    steps = []
+    for i in range(len(arcs)):
+        curves = shots[i * len(offsets):(i + 1) * len(offsets)]
+        for a, b in zip(curves, curves[1:]):
             assert hausdorff(a.points, b.points) == _dense_hausdorff(a.points, b.points)
-        steps.append(np.linalg.norm(np.diff(shots[0].points, axis=0), axis=1))
+        steps.append(np.linalg.norm(np.diff(curves[0].points, axis=0), axis=1))
     steps = np.concatenate(steps)
     assert steps.min() < 1e-4 and steps.max() > 0.1
+
+
+@pytest.mark.parametrize("name", ["torus_analysis", "double_analysis"])
+def test_end_tables_equal_per_arc_shots(name, request):
+    # the per-arc oracle: each arc's table shots of both ends in a batch
+    # of their own, its probes and midpoints in another, as Trajectories
+    analysis = request.getfixturevalue(name)
+    p, q = analysis.by_id["c0"], analysis.by_id["c3"]
+    for arc in analysis.pairs[("c0", "c3")].arcs:
+        offsets = morse._end_offsets(arc)
+        angles = np.concatenate([arc.angle_lo + offsets, arc.angle_hi - offsets])
+        shots = analysis._shot_trajectory(p, q, angles, samples=300)
+        probe = min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
+        probes_mids = analysis._shot_trajectory(p, q, [
+            arc.angle_lo + probe, arc.angle_hi - probe,
+            arc.angle_lo + offsets[-1], arc.angle_hi - offsets[-1],
+        ])
+        tables = []
+        for side, end in enumerate(arc.ends):
+            half = shots[side * len(offsets):(side + 1) * len(offsets)]
+            left, right = analysis._broken_parts(p, q, end.junction)
+            broken = [left[end.left_index].points, right[end.right_index].points]
+            assert end.hausdorff == hausdorff_to_union(probes_mids[side].points, broken)
+            lengths = [hausdorff_to_union(half[0].points, broken)]
+            for a, b in zip(half, half[1:]):
+                lengths.append(lengths[-1] + hausdorff(a.points, b.points))
+            tables.append(np.array(lengths))
+            assert arc._tables[side][0].tobytes() == offsets.tobytes()
+            assert arc._tables[side][1].tobytes() == tables[-1].tobytes()
+        mid = hausdorff(probes_mids[2].points, probes_mids[3].points)
+        assert arc.length == float(tables[0][-1] + tables[1][-1] + mid)
+
+
+@pytest.mark.parametrize("name, batches", [("torus_analysis", 4), ("double_analysis", 2)])
+def test_arc_ends_shoot_one_batch_pair_per_arc_group(name, batches, request, monkeypatch):
+    # one forward and one backward batch per group of whole arcs: the
+    # torus's 4 arcs go in _ARC_BATCHES = 2 groups, the double's one arc
+    # in one; every row is a probe, a midpoint or a table shot
+    assert morse._ARC_BATCHES == 2
+    analysis = request.getfixturevalue(name)
+    data = analysis.pairs[("c0", "c3")]
+    fresh = morse.PairData(data.pair, 1, arcs=[
+        morse.ModuliArc(arc.angle_lo, arc.angle_hi, ends=(None, None)) for arc in data.arcs
+    ])
+    rows = []
+    monkeypatch.setattr(
+        morse, "dop853_rows",
+        lambda fun, y0, *args: rows.append(len(y0)) or dop853_rows(fun, y0, *args),
+    )
+    analysis._match_arc_ends(analysis.by_id["c0"], analysis.by_id["c3"], fresh)
+    assert len(rows) == batches
+    assert sum(rows) == 2 * len(data.arcs) * (4 + 2 * len(morse._end_offsets(data.arcs[0])))
+    for got, want in zip(fresh.arcs, data.arcs, strict=True):
+        assert got.ends == want.ends and got.length == want.length
+        for side in (0, 1):
+            for a, b in zip(got._tables[side], want._tables[side]):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_saddle_descents_are_one_batch(torus_analysis, monkeypatch):
+    # both descents of every index-1 point in one batch, each trajectory
+    # bit for bit the per-saddle shots'
+    analysis = torus_analysis
+    system = analysis.system
+    monkeypatch.setattr(analysis, "_descents", None)
+    rows = []
+    monkeypatch.setattr(
+        morse, "dop853_rows",
+        lambda fun, y0, *args: rows.append(len(y0)) or dop853_rows(fun, y0, *args),
+    )
+    for pair in (("c1", "c3"), ("c2", "c3")):
+        p, q = analysis.by_id[pair[0]], analysis.by_id[pair[1]]
+        got = analysis._saddle_descents(p, q)
+        frame = _unstable_frame(system, p)
+        segs = integrate_flow(system, [morse._shoot_start(system, p, frame, a) for a in (0.0, math.pi)])
+        want = morse._make_trajectories(system, p, [q, q], segs, (0.0, math.pi))
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.angle == b.angle
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.anchor.tobytes() == b.anchor.tobytes()
+    assert rows[0] == 4 and len(rows) == 3  # the batch, then the two oracles
 
 
 # the nearest-vertex bound: cases where a rounded argmin could go wrong
