@@ -37,13 +37,15 @@ import numpy as np
 
 from .errors import EpsilonUnderflowError, InputError, RangeError
 from .family import StratifiedFamily, validate_family
-from .numerics import fd_jacobian
+from .numerics import _norms, fd_jacobian
 from .params import GlueParam, zero_support_subchain
 from .poset import Chain, concat_chains, is_subchain, pair_length
 from .spaces import StratumPatch
 
 #: collar parameters this close to zero are treated as exact zeros
 SNAP_TOL = 1e-11
+# samples per junction identity test while an atlas is built
+_JUNCTION_SAMPLES = 24
 
 
 # ---------------------------------------------------------------------
@@ -340,13 +342,6 @@ def glue_differential(atlas: CollarAtlas, chain: Chain, point, values):
     return jac
 
 
-def _norms(A) -> np.ndarray:
-    """Norm of each row, bit for bit ``np.linalg.norm`` of the row alone
-    (a dot product, which the ``axis=`` form, a pairwise sum, is not)."""
-    A = np.ascontiguousarray(A)
-    return np.sqrt(np.vecdot(A, A))
-
-
 def _per_block(blocks, draw) -> list:
     """One ``draw(n)`` for the n rows of all blocks, cut into runs."""
     sizes = [len(X) for _, X in blocks]
@@ -406,7 +401,7 @@ def normalize_junctions(
     atlas: CollarAtlas,
     chart,
     eps: float,
-    samples: int = 24,
+    samples: int = _JUNCTION_SAMPLES,
     rng=None,
     tol: float = 1e-9,
     epsilon_floor: float = 1e-6,
@@ -449,7 +444,6 @@ def build_collars(
     family: StratifiedFamily,
     tol: float = 1e-9,
     epsilon_floor: float = 1e-6,
-    samples: int = 24,
     rng=None,
     validate: bool = True,
 ) -> CollarAtlas:
@@ -497,7 +491,6 @@ def build_collars(
                     atlas,
                     atlas.charts[chain],
                     eps,
-                    samples=samples,
                     rng=rng,
                     tol=tol,
                     epsilon_floor=epsilon_floor,

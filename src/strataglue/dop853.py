@@ -255,10 +255,10 @@ class Dop853Rows:
     def __init__(self, t0, counts, t_old, h, y_old, F, t_final, event):
         self.t0 = t0
         self._start = np.concatenate([[0], np.cumsum(counts)])
-        self._steps = (t_old, h, y_old, F)
-        # (row, step start) as one complex key sorts lexicographically,
-        # so one search finds the steps of every row
+        # (row, step start) as one complex key sorts lexicographically, so
+        # one search finds every row's steps; .imag holds the step starts
         self._key = _keys(np.repeat(np.arange(len(counts)), counts), t_old)
+        self._steps = (self._key.imag, h, y_old, F)
         self.t_final, self.event = t_final, event
 
     def __len__(self):

@@ -635,12 +635,12 @@ class PairModuli:
 def from_morse(
     critical_points, relations, moduli: dict, name: str = "morse"
 ) -> StratifiedFamily:
-    """Assemble a family from 0/1-dimensional moduli data.
-
-    ``moduli`` maps comparable pairs to PairModuli.  Pairs of dimension
+    """Assemble a family from 0/1-dimensional moduli data: ``moduli``
+    maps comparable pairs to records read only for ``dim``, ``count``,
+    ``circle``, ``arcs[].length`` and ``arcs[].ends[].{junction,
+    left_index, right_index}``, such as PairModuli.  Pairs of dimension
     >= 2 are refused; every broken pair must appear exactly once among
-    the arc ends of its pair.
-    """
+    the arc ends of its pair (an end of None is an open end)."""
     poset = CriticalPoset(critical_points, relations)
     spaces = {}
     strata = {}

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
-from .family import ArcData, ArcEnd, PairModuli, StratifiedFamily, from_morse
+from .family import StratifiedFamily, from_morse
 from .dop853 import dop853_rows
-from .numerics import brentq_rows, fd_jacobian
+from .numerics import _norms, brentq_rows, fd_jacobian
 from .poset import CriticalPoint
 
 TWO_PI = 2.0 * math.pi
@@ -300,61 +300,50 @@ BUILTIN_SYSTEMS = {
 # ---------------------------------------------------------------------
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_ALLOWED_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
-}
+_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def parse_expression(text: str, variables):
     """Compile an arithmetic expression into a numpy function of
     (..., k) rows, variable i in column i.  Supports +, -, *, /, **,
     sin, cos, exp and the given variable names; anything else is
-    rejected."""
+    rejected.  The checked tree, its numbers made floats, is compiled
+    by Python and evaluated without builtins."""
     variables = list(variables)
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"bad expression {text!r}: {exc}") from exc
 
-    def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
+    def check(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            val = float(node.value)
-            return lambda u: val
-        if isinstance(node, ast.Name):
-            if node.id not in variables:
+            node.value = float(node.value)
+        elif isinstance(node, ast.Name):
+            if node.id not in variables or node.id in _ALLOWED_CALLS:
                 raise InputError(f"unknown variable {node.id!r}")
-            idx = variables.index(node.id)
-            return lambda u: u[..., idx]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            inner = build(node.operand)
-            return lambda u: -inner(u)
-        if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            op = _ALLOWED_BINOPS[type(node.op)]
-            left, right = build(node.left), build(node.right)
-            return lambda u: op(left(u), right(u))
-        if (
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            check(node.operand)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+            check(node.left)
+            check(node.right)
+        elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in _ALLOWED_CALLS
             and len(node.args) == 1
             and not node.keywords
         ):
-            fn = _ALLOWED_CALLS[node.func.id]
-            arg = build(node.args[0])
-            return lambda u: fn(arg(u))
-        raise InputError(f"unsupported expression element {ast.dump(node)}")
+            check(node.args[0])
+        else:
+            raise InputError(f"unsupported expression element {ast.dump(node)}")
 
-    body = build(tree)
+    check(tree.body)
+    code = compile(tree, "<expression>", "eval")
 
     def compiled(u):
         u = np.asarray(u, dtype=float)
-        value = body(u)
+        names = {name: u[..., variables.index(name)] for name in variables}
+        value = eval(code, {"__builtins__": {}, **names, **_ALLOWED_CALLS})
         # a constant gives one value per row
         return value if np.ndim(value) == u.ndim - 1 else np.full(u.shape[:-1], value)
 
@@ -642,25 +631,22 @@ def _period_shifts(system) -> np.ndarray:
 
 def _make_trajectories(
     system, source: CriticalPointData, targets, segs, angles, prefixes=None,
-    truncate=False,
+    stops=None,
 ) -> list[Trajectory]:
     """Trajectory i from ``segs[i]``, shot at ``angles[i]`` from
     ``source`` to ``targets[i]``.
 
-    ``truncate`` cuts each segment at its closest approach to its
-    target (used for limits into a saddle); row i of the prefix arrays
-    (states, times) goes before segment i.  Each path is prepended/appended with
-    the exact endpoint locations, and anchored where f crosses the
-    pair's mid level, by one ``_level_crossings`` call.
+    ``stops[i]``, if given, ends segment i (its closest approach to a
+    saddle target); row i of the prefix arrays (states, times) goes
+    before segment i.  Each path is prepended/appended with the exact
+    endpoint locations, and anchored where f crosses the pair's mid
+    level, by one ``_level_crossings`` call.
     """
     mids = [0.5 * (source.value + target.value) for target in targets]
     cut, lo, hi, fallback = [], [], [], []
-    for seg, target, mid in zip(segs, targets, mids):
-        states, times = seg.states, seg.times
-        if truncate:
-            tloc = system.embed([target.location])[0]
-            stop = int(np.argmin(np.linalg.norm(system.embed(states) - tloc, axis=1)))
-            states, times = states[: stop + 1], times[: stop + 1]
+    for i, (seg, mid) in enumerate(zip(segs, mids)):
+        end = None if stops is None else stops[i] + 1
+        states, times = seg.states[:end], seg.times[:end]
         k = int(np.searchsorted(-system.f(states), -mid))
         k = min(max(k, 1), len(states) - 1)
         cut.append((states, times))
@@ -699,31 +685,22 @@ _GRAM = 1 << 16
 def _points_to_polyline(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Distance from each point of P to the polyline with vertices Q.
 
-    The dense reference: every point against every segment, P×S×dim
+    The dense pass: every point against every segment, P×S×dim
     temporaries.  Each row depends only on its own point, so calling it
     on a subset of P gives the same values, bit for bit, as the
     matching rows of a call on all of P.  ``_farthest`` relies on that
-    (it is the per-chunk kernel there), and the tests use this function
-    as the oracle for ``hausdorff`` and ``hausdorff_to_union``.
+    (it is the per-chunk kernel there).
     """
-    A = Q[:-1]
-    B = Q[1:]
-    AB = B - A
-    denom = np.maximum(np.einsum("ij,ij->i", AB, AB), 1e-30)
-    diff = P[:, None, :] - A[None, :, :]
-    t = np.clip(np.einsum("pse,se->ps", diff, AB) / denom, 0.0, 1.0)
-    proj = A[None, :, :] + t[:, :, None] * AB[None, :, :]
-    d = np.linalg.norm(P[:, None, :] - proj, axis=2)
-    return d.min(axis=1)
+    return _segment_distances(P[:, None], Q[:-1], Q[1:]).min(axis=1)
 
 
 def _segment_distances(P, A, B) -> np.ndarray:
-    """Distance from each row of P to the segment from the same row of
-    A to that of B, by the arithmetic of ``_points_to_polyline``."""
+    """Distance from each point of P to the segment from the matching
+    point of A to that of B; the three broadcast over leading axes."""
     AB = B - A
-    denom = np.maximum(np.einsum("ij,ij->i", AB, AB), 1e-30)
-    t = np.clip(np.einsum("ij,ij->i", P - A, AB) / denom, 0.0, 1.0)
-    return np.linalg.norm(P - (A + t[:, None] * AB), axis=1)
+    denom = np.maximum(np.einsum("...i,...i->...", AB, AB), 1e-30)
+    t = np.clip(np.einsum("...i,...i->...", P - A, AB) / denom, 0.0, 1.0)
+    return np.linalg.norm(P - (A + t[..., None] * AB), axis=-1)
 
 
 def _nearest_vertex(P: np.ndarray, V: np.ndarray):
@@ -810,12 +787,10 @@ def hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     P = np.atleast_2d(P)
     Q = np.atleast_2d(Q)
     if len(Q) < 2:
-        d1 = np.linalg.norm(P - Q[0], axis=1)
-        return float(d1.max())
+        return float(np.linalg.norm(P - Q[0], axis=1).max())
     if len(P) < 2:
         return float(_points_to_polyline(Q, P.repeat(2, axis=0)).max())
-    h = _farthest(P, [Q], 0.0)
-    return _farthest(Q, [P], h)
+    return _both_ways(P, [Q])
 
 
 def hausdorff_to_union(P: np.ndarray, parts) -> float:
@@ -824,8 +799,12 @@ def hausdorff_to_union(P: np.ndarray, parts) -> float:
     Computed like ``hausdorff``: P against the union, bounded by the
     nearest vertex of any part, then each part back against P.
     """
-    P = np.atleast_2d(P)
-    parts = [np.atleast_2d(Q) for Q in parts]
+    return _both_ways(np.atleast_2d(P), [np.atleast_2d(Q) for Q in parts])
+
+
+def _both_ways(P, parts) -> float:
+    """P's farthest distance from the union of parts, then each part's
+    from P, each ``_farthest`` starting from the maximum so far."""
     h = _farthest(P, parts, 0.0)
     for Q in parts:
         h = _farthest(Q, [P], h)
@@ -863,12 +842,16 @@ class PairData:
     arcs: list = field(default_factory=list)
     circle: float | None = None
 
+    @property
+    def count(self) -> int:
+        return len(self.trajectories)
+
 
 class ModuliAnalysis:
     """All computed flow data of one system: critical points, the
     connection poset, and per-pair moduli structure."""
 
-    def __init__(self, system: MorseSystem, resolution: int = 64, rng=None):
+    def __init__(self, system: MorseSystem, resolution: int = 64):
         self.system = system
         self.resolution = resolution
         self.critical_points = find_critical_points(system)
@@ -1079,19 +1062,17 @@ class ModuliAnalysis:
         n = self.resolution
         angles = np.arange(n) / n * TWO_PI
         marks = self._classify(p, frame, angles, level)
-        gaps = [
-            np.linalg.norm(marks[i][1] - marks[(i + 1) % n][1])
-            for i in range(n)
-            if marks[i][0] == marks[(i + 1) % n][0]
-        ]
-        med = float(np.median(gaps)) if gaps else 0.05
+        # the jump from each mark to the next, and whether their tags agree
+        E = np.array([m[1] for m in marks])
+        jumps = _norms(E - np.roll(E, -1, axis=0))
+        same = np.array([marks[i][0] == marks[(i + 1) % n][0] for i in range(n)])
+        med = float(np.median(jumps[same])) if same.any() else 0.05
         thresh = max(3.0 * med, 0.02)
         candidates = [
             [angles[i], angles[(i + 1) % n] + (TWO_PI if i == n - 1 else 0.0),
              marks[i], marks[(i + 1) % n]]
             for i in range(n)
-            if marks[i][0] != marks[(i + 1) % n][0]
-            or np.linalg.norm(marks[i][1] - marks[(i + 1) % n][1]) > thresh
+            if not same[i] or jumps[i] > thresh
         ]
         # bisect every candidate in lockstep, _LOOKAHEAD rounds per
         # batch: the batch shoots every midpoint those rounds could
@@ -1147,24 +1128,23 @@ class ModuliAnalysis:
             distinct.append(angle)
         X = self._launch(p, frame, distinct)
         hugs = []
-        for angle, x, seg in zip(distinct, X, integrate_flow(system, X, samples=600)):
-            # which saddle does the limiting shot hug?
-            emb = system.embed(seg.states)
-            d = [
-                float(np.linalg.norm(emb - system.embed([s.location])[0], axis=1).min())
-                for s in saddles
-            ]
-            if d and min(d) <= 1e-3:
-                hugs.append((angle, x, seg, saddles[np.argmin(d)], min(d)))
+        if saddles:
+            # which saddle does each limiting shot hug, and where closest?
+            S = np.array([system.embed([s.location])[0] for s in saddles])[:, None]
+            for angle, x, seg in zip(distinct, X, integrate_flow(system, X, samples=600)):
+                D = np.linalg.norm(system.embed(seg.states) - S, axis=-1)
+                j, stop = divmod(int(np.argmin(D)), D.shape[1])
+                if D[j, stop] <= 1e-3:
+                    hugs.append((angle, x, seg, saddles[j], float(D[j, stop]), stop))
         prefixes = self._back_prefix(p, [h[1] for h in hugs])
         trajs = _make_trajectories(
             system, p, [h[3] for h in hugs], [h[2] for h in hugs],
-            [h[0] for h in hugs], prefixes, truncate=True,
+            [h[0] for h in hugs], prefixes, stops=[h[5] for h in hugs],
         )
         special = [
             {"angle": angle % TWO_PI, "target": best.id, "approach": bdist,
              "trajectory": traj}
-            for (angle, x, seg, best, bdist), traj in zip(hugs, trajs)
+            for (angle, x, seg, best, bdist, stop), traj in zip(hugs, trajs)
         ]
         special.sort(key=lambda s: s["angle"])
         result = {
@@ -1372,8 +1352,7 @@ class ModuliAnalysis:
         raise InputError("broken pair does not bound any computed arc")
 
     def _glue_on_arc(self, p_id, q_id, arc, side, lam):
-        p = self.by_id[p_id]
-        q = self.by_id[q_id]
+        p, q = self.by_id[p_id], self.by_id[q_id]
         offsets, lengths = arc._tables[side]
         if lam > lengths[-1]:
             raise RangeError(
@@ -1388,30 +1367,11 @@ class ModuliAnalysis:
 
     def to_family(self) -> StratifiedFamily:
         """Assemble the stratified family of all compactified moduli."""
-        points = [
-            CriticalPoint(c.id, index=c.index) for c in self.critical_points
-        ]
-        moduli = {}
         for (pid, qid), data in self.pairs.items():
-            if data.dim == 0:
-                moduli[(pid, qid)] = PairModuli(
-                    (pid, qid), 0, count=len(data.trajectories)
-                )
-            elif data.circle is not None:
-                moduli[(pid, qid)] = PairModuli(
-                    (pid, qid), 1, circle=data.circle
-                )
-            else:
-                arcs = []
-                for arc in data.arcs:
-                    if any(e is None for e in arc.ends):
-                        raise InputError(f"arc of ({pid},{qid}) has an unresolved end")
-                    ends = tuple(
-                        ArcEnd(e.junction, e.left_index, e.right_index) for e in arc.ends
-                    )
-                    arcs.append(ArcData(length=arc.length, ends=ends))
-                moduli[(pid, qid)] = PairModuli((pid, qid), 1, arcs=tuple(arcs))
-        return from_morse(points, self.relations(), moduli, name=self.system.name)
+            if any(e is None for arc in data.arcs for e in arc.ends):
+                raise InputError(f"arc of ({pid},{qid}) has an unresolved end")
+        points = [CriticalPoint(c.id, index=c.index) for c in self.critical_points]
+        return from_morse(points, self.relations(), self.pairs, name=self.system.name)
 
 
 def _end_offsets(arc, depth: int = 25) -> np.ndarray:
@@ -1459,8 +1419,7 @@ def find_trajectories(system, p, q, resolution: int = 64, analysis=None):
         return []
     if data.dim == 0:
         return list(data.trajectories)
-    pc = analysis.by_id[pid]
-    qc = analysis.by_id[qid]
+    pc, qc = analysis.by_id[pid], analysis.by_id[qid]
     if data.circle is not None:
         n = resolution
         return analysis._shot_trajectory(

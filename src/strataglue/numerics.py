@@ -30,6 +30,13 @@ def fd_jacobian(f, x, step, order=2, directions=None):
     return np.stack(cols, axis=-1)
 
 
+def _norms(A) -> np.ndarray:
+    """Norm of each row, bit for bit ``np.linalg.norm`` of the row alone
+    (a dot product, which the ``axis=`` form, a pairwise sum, is not)."""
+    A = np.ascontiguousarray(A)
+    return np.sqrt(np.vecdot(A, A))
+
+
 _EPS = np.finfo(float).eps
 _BRENT_ITER = 100  # scipy.optimize.brentq's default maxiter
 

@@ -37,13 +37,12 @@ from strataglue.collar import (
     _glue_rows,
     _junction_residual,
     _Junction,
-    _norms,
     _unglue,
     check_differential,
     check_injectivity,
     check_single_space_compat,
 )
-from strataglue.numerics import fd_jacobian
+from strataglue.numerics import _norms, fd_jacobian
 from strataglue.params import GlueParam, zero_support_subchain
 from strataglue.spaces import CorneredSpace, StratumPatch, Wall
 

@@ -1,6 +1,7 @@
 """Gradient-flow engine: critical points, trajectories, moduli, gluing."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strataglue import (
+    CriticalPoint,
     InputError,
     RangeError,
     analyze,
@@ -21,8 +23,10 @@ from strataglue import (
 )
 from strataglue import dop853, morse
 from strataglue.dop853 import dop853_rows
+from strataglue.family import ArcData, ArcEnd, PairModuli, from_morse, save_family
 from strataglue.morse import (
     _points_to_polyline,
+    _segment_distances,
     _stable_space,
     _tangent_basis,
     _unstable_frame,
@@ -767,6 +771,46 @@ def test_no_critical_points_rejected():
         find_critical_points(system)
 
 
+# -- export ------------------------------------------------------------
+
+
+def _family_via_pair_moduli(analysis):
+    # the record-by-record conversion to_family once made, as the oracle
+    moduli = {}
+    for pair, data in analysis.pairs.items():
+        if data.dim == 0:
+            moduli[pair] = PairModuli(pair, 0, count=len(data.trajectories))
+        elif data.circle is not None:
+            moduli[pair] = PairModuli(pair, 1, circle=data.circle)
+        else:
+            arcs = tuple(
+                ArcData(arc.length, tuple(
+                    ArcEnd(e.junction, e.left_index, e.right_index) for e in arc.ends
+                ))
+                for arc in data.arcs
+            )
+            moduli[pair] = PairModuli(pair, 1, arcs=arcs)
+    points = [CriticalPoint(c.id, index=c.index) for c in analysis.critical_points]
+    return from_morse(points, analysis.relations(), moduli, name=analysis.system.name)
+
+
+@pytest.mark.parametrize("name", ["torus_analysis", "double_analysis"])
+def test_to_family_equals_pair_moduli_conversion(name, request, tmp_path):
+    analysis = request.getfixturevalue(name)
+    save_family(analysis.to_family(), tmp_path / "got.json")
+    save_family(_family_via_pair_moduli(analysis), tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_to_family_rejects_an_unresolved_arc_end(double_analysis):
+    analysis = copy.copy(double_analysis)
+    data = analysis.pairs[("c0", "c3")]
+    arc = dataclasses.replace(data.arcs[0], ends=(None, data.arcs[0].ends[1]))
+    analysis.pairs = {**analysis.pairs, ("c0", "c3"): dataclasses.replace(data, arcs=[arc])}
+    with pytest.raises(InputError, match="unresolved end"):
+        analysis.to_family()
+
+
 # -- expression parsing ------------------------------------------------
 
 
@@ -821,9 +865,40 @@ def test_parse_expression_rejections():
         "x < y",
         "f(",
         "unknown_name",
+        # what a tree walk could let through
+        "x[0]",
+        "(x, y)",
+        "sin(x, y)",
+        "sin(x=1)",
+        "sin",
+        "sin(*x)",
+        "np.sin(x)",
+        "+x",
+        "~x",
+        "not x",
+        "x // y",
+        "x % y",
+        "x @ y",
     ):
         with pytest.raises(InputError):
             parse_expression(bad, ["x", "y"])
+    # constants are accepted as isinstance(value, (int, float)) accepts them
+    assert parse_expression("x + True", ["x", "y"])([2.0, 0.0]) == 3.0
+    # a variable may not shadow a function, nor stand for one
+    assert parse_expression("sin(x)", ["x", "sin"])([0.5, 9.0]) == np.sin(0.5)
+    with pytest.raises(InputError):
+        parse_expression("sin + x", ["x", "sin"])
+
+
+@pytest.mark.parametrize("text, by_hand", [
+    ("x**3/3 - x + 1.3*(y**3/3 - y)", lambda x, y: x**3 / 3 - x + 1.3 * (y**3 / 3 - y)),
+    ("sin(x)*exp(-y**2) + cos(x*y)/2",
+     lambda x, y: np.sin(x) * np.exp(-y**2) + np.cos(x * y) / 2),
+], ids=["cubics", "waves"])
+def test_compiled_expression_equals_numpy_by_hand(text, by_hand, rng):
+    U = rng.uniform(-3.0, 3.0, size=(200_000, 2))
+    got = parse_expression(text, ["x", "y"])(U)
+    assert got.tobytes() == by_hand(U[:, 0], U[:, 1]).tobytes()
 
 
 def test_expression_system_accepts_both_spellings(rng):
@@ -860,18 +935,31 @@ def test_hausdorff_basics():
 # exactness of the early-break search against the dense pass
 
 
+def _dense_polyline(P, Q):
+    # the dense pass as first written, kept as the oracle of the library's
+    # segment kernel: every point against every segment
+    A = Q[:-1]
+    B = Q[1:]
+    AB = B - A
+    denom = np.maximum(np.einsum("ij,ij->i", AB, AB), 1e-30)
+    diff = P[:, None, :] - A[None, :, :]
+    t = np.clip(np.einsum("pse,se->ps", diff, AB) / denom, 0.0, 1.0)
+    proj = A[None, :, :] + t[:, :, None] * AB[None, :, :]
+    d = np.linalg.norm(P[:, None, :] - proj, axis=2)
+    return d.min(axis=1)
+
+
 def _dense_hausdorff(P, Q):
     if len(Q) < 2:
         return float(np.linalg.norm(P - Q[0], axis=1).max())
     if len(P) < 2:
-        return float(_points_to_polyline(Q, P.repeat(2, axis=0)).max())
-    return float(max(_points_to_polyline(P, Q).max(),
-                     _points_to_polyline(Q, P).max()))
+        return float(_dense_polyline(Q, P.repeat(2, axis=0)).max())
+    return float(max(_dense_polyline(P, Q).max(), _dense_polyline(Q, P).max()))
 
 
 def _dense_to_union(P, parts):
-    to_union = np.min([_points_to_polyline(P, Q) for Q in parts], axis=0)
-    back = max(_points_to_polyline(Q, P).max() for Q in parts)
+    to_union = np.min([_dense_polyline(P, Q) for Q in parts], axis=0)
+    back = max(_dense_polyline(Q, P).max() for Q in parts)
     return float(max(to_union.max(), back))
 
 
@@ -944,6 +1032,25 @@ def test_hausdorff_to_union_equals_dense_pass(case):
     assert hausdorff_to_union(P, parts) == _dense_to_union(P, parts)
 
 
+@st.composite
+def _points_and_curve(draw):
+    P = draw(_polyline(draw(st.sampled_from([1, 2, 3])), min_size=2))
+    return P, draw(_companion(P, min_size=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_points_and_curve())
+def test_segment_kernel_equals_dense_oracle(case):
+    # the library's dense pass and the segment bound share one kernel,
+    # so the dense-pass tests above need this one to mean anything
+    P, Q = case
+    assert _points_to_polyline(P, Q).tobytes() == _dense_polyline(P, Q).tobytes()
+    # row i against segment k[i], as _farthest bounds each point
+    k = np.arange(len(P)) % (len(Q) - 1)
+    want = [_dense_polyline(P[i:i + 1], Q[j:j + 2])[0] for i, j in enumerate(k)]
+    assert _segment_distances(P, Q[k], Q[k + 1]).tobytes() == np.array(want).tobytes()
+
+
 def test_hausdorff_farthest_point_mid_segment():
     # Q is one long segment plus a short one; P follows it with a bump in
     # the middle of the long segment, far from every vertex of Q
@@ -985,7 +1092,10 @@ def test_hausdorff_equals_dense_pass_on_end_table_shots(torus_analysis):
     for i in range(len(arcs)):
         curves = shots[i * len(offsets):(i + 1) * len(offsets)]
         for a, b in zip(curves, curves[1:]):
-            assert hausdorff(a.points, b.points) == _dense_hausdorff(a.points, b.points)
+            ab = _dense_polyline(a.points, b.points)
+            assert _points_to_polyline(a.points, b.points).tobytes() == ab.tobytes()
+            back = _dense_polyline(b.points, a.points)
+            assert hausdorff(a.points, b.points) == float(max(ab.max(), back.max()))
         steps.append(np.linalg.norm(np.diff(curves[0].points, axis=0), axis=1))
     steps = np.concatenate(steps)
     assert steps.min() < 1e-4 and steps.max() > 0.1
