@@ -383,12 +383,12 @@ class _Junction:
         return self.emb.forward(left, right)[1], v_left, v_right
 
 
-def _junction_residual(atlas, chart, junction, eps, samples, rng) -> float:
+def _junction_residual(atlas, chart, junction, eps, rng) -> float:
     family = atlas.family
     chain = chart.chain
     space = family.space(*chain.pair)
     worst = 0.0
-    blocks = family.sample_blocks(chain, samples, rng)
+    blocks = family.sample_blocks(chain, _JUNCTION_SAMPLES, rng)
     runs = _per_block(blocks, lambda n: rng.uniform(0.0, eps, size=(n, chain.length)))
     for (piece, X), L in zip(blocks, runs):
         L[:, junction.slot] = 0.0
@@ -401,12 +401,12 @@ def normalize_junctions(
     atlas: CollarAtlas,
     chart,
     eps: float,
-    samples: int = _JUNCTION_SAMPLES,
     rng=None,
     tol: float = 1e-9,
     epsilon_floor: float = 1e-6,
 ):
-    """Correct a chart until every junction identity holds on samples.
+    """Correct a chart until every junction identity holds on
+    ``_JUNCTION_SAMPLES`` samples.
 
     Junctions are processed in chain order; a correction at one junction
     leaves the earlier identities intact.  Returns (chart, eps); eps is
@@ -418,7 +418,7 @@ def normalize_junctions(
         junction = _Junction(atlas, chart.chain, slot)
         corrected = False
         while True:
-            res = _junction_residual(atlas, chart, junction, eps, samples, rng)
+            res = _junction_residual(atlas, chart, junction, eps, rng)
             if res <= tol:
                 break
             if not corrected:
@@ -584,27 +584,17 @@ def check_compat_concat(
 
 
 def check_associativity(
-    atlas: CollarAtlas, quad=None, samples: int = 100, grid: int = 32, rng=None
+    atlas: CollarAtlas, quad, samples: int = 100, grid: int = 32, rng=None
 ) -> float:
     """Max residual of the two bracketings of a double gluing.
 
     For points g1, g2, g3 of the three open moduli of a length-3 chain
-    p0 > p1 > p2 > p3 and a grid of (lam1, lam2), compares
+    ``quad`` = p0 > p1 > p2 > p3 and a grid of (lam1, lam2), compares
     (g1 # g2) # g3 with g1 # (g2 # g3), and both against the double
     collar of the full chain.
     """
     rng = np.random.default_rng(rng)
     family = atlas.family
-    if quad is None:
-        quads = [
-            c.points
-            for pq in family.pairs()
-            for c in family.chains(*pq)
-            if c.length == 2
-        ]
-        if not quads:
-            raise InputError("family has no length-2 chains")
-        quad = quads[0]
     p0, p1, p2, p3 = quad
     c012 = Chain((p0, p1, p2))
     c123 = Chain((p1, p2, p3))

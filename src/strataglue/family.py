@@ -251,9 +251,7 @@ class StratifiedFamily:
     ):
         self.poset = poset
         self.spaces = dict(spaces)
-        self.strata = {s.chain: s for s in strata.values()} if isinstance(
-            strata, dict
-        ) else {s.chain: s for s in strata}
+        self.strata = {s.chain: s for s in strata.values()}
         self.embeddings = dict(embeddings)
         self.name = name
         self._by_patch: dict = {}

@@ -381,7 +381,10 @@ def system_from_expression(
 class CriticalPointData:
     """``eigenvalues`` are minus those of the flow's linearization, in
     ascending order: the Hessian's on a Euclidean chart, with the same
-    signs under a metric.  ``index`` and ``morse`` are read from them."""
+    signs under a metric.  ``index`` and ``morse`` are read from them.
+    ``unstable`` and ``stable`` are orthonormal columns spanning the
+    flow's unstable and stable spaces at the point, from the same
+    linearization (tangent to the sphere on the sphere)."""
 
     id: str
     location: np.ndarray
@@ -390,6 +393,8 @@ class CriticalPointData:
     gradient_norm: float
     eigenvalues: np.ndarray
     morse: bool
+    unstable: np.ndarray
+    stable: np.ndarray
 
 
 def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointData]:
@@ -402,7 +407,8 @@ def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointD
     |u| = 1.  Rows that go non-finite drop out.  Zeros outside the
     domain or with a gradient norm above 1e-8 are dropped, and a zero
     within 1e-6 of an earlier one (embedded) is merged into it.  Each
-    point is indexed by the flow's linearization (``_linearization``);
+    point is indexed by the flow's linearization (``_linearization``),
+    taken once, which also gives its unstable and stable frames;
     degenerate points are flagged non-Morse.
     """
     if seeds is None:
@@ -439,11 +445,13 @@ def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointD
         raise InputError("no critical points found; is f constant?")
     found = []
     for k, r in enumerate(rows[np.argsort(-system.f(U[rows]), kind="stable")]):
-        eig = np.sort(-_linearization(system, U[r])[0])
+        w, v = _linearization(system, U[r])
+        eig = np.sort(-w)
         found.append(CriticalPointData(
             id=f"c{k}", location=U[r], value=system.f(U[r]), index=int(np.sum(eig < 0)),
             gradient_norm=float(gnorm[r]), eigenvalues=eig,
             morse=bool(np.min(np.abs(eig)) > 1e-6),
+            unstable=np.linalg.qr(v[:, w > 0])[0], stable=np.linalg.qr(v[:, w < 0])[0],
         ))
     return found
 
@@ -582,12 +590,6 @@ class Trajectory:
     angle: float | None = None  # shooting parameter, when applicable
 
 
-def _unstable_frame(system: MorseSystem, crit: CriticalPointData) -> np.ndarray:
-    """Orthonormal basis of the unstable space of the flow at crit."""
-    w, v = _linearization(system, crit.location)
-    return np.linalg.qr(v[:, w > 0])[0]
-
-
 def _frame_direction(frame, angle) -> np.ndarray:
     """The direction of a shooting angle in an unstable frame of one or
     two columns."""
@@ -596,8 +598,8 @@ def _frame_direction(frame, angle) -> np.ndarray:
     return frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
 
 
-def _shoot_start(system, crit, frame, angle, delta=1e-4):
-    x = crit.location + delta * _frame_direction(frame, angle)
+def _shoot_start(system, crit, angle, delta=1e-4):
+    x = crit.location + delta * _frame_direction(crit.unstable, angle)
     if system.on_sphere:
         x = x / np.linalg.norm(x)
     return x
@@ -913,7 +915,7 @@ class ModuliAnalysis:
             saddles = [c for c in crits if c.index == 1]
             angles = (0.0, math.pi)
             X = [
-                _shoot_start(system, c, _unstable_frame(system, c), angle)
+                _shoot_start(system, c, angle)
                 for c in saddles for angle in angles
             ]
             segs = integrate_flow(system, X)
@@ -934,7 +936,7 @@ class ModuliAnalysis:
         top = max(c.value for c in self.critical_points if c.value < p.value)
         return p.value - 0.25 * (p.value - top)
 
-    def _launch(self, p, frame, angles) -> np.ndarray:
+    def _launch(self, p, angles) -> np.ndarray:
         """Starting points, one row per angle, on the level circle
         around p.
 
@@ -950,7 +952,7 @@ class ModuliAnalysis:
         system = self.system
         level = self._launch_level(p)
         D = np.reshape(
-            [self._launch_direction(p, frame, angle) for angle in angles],
+            [self._launch_direction(p, angle) for angle in angles],
             (-1, p.location.size),
         )
         if system.on_sphere:
@@ -981,10 +983,10 @@ class ModuliAnalysis:
             )
         return curve(brentq_rows(gap, s_lo, s_hi, xtol=1e-14), rows)
 
-    def _launch_direction(self, p, frame, angle) -> np.ndarray:
+    def _launch_direction(self, p, angle) -> np.ndarray:
         """The unit direction of one shooting angle (tangent to the
         sphere at p on the sphere)."""
-        direction = _frame_direction(frame, angle)
+        direction = _frame_direction(p.unstable, angle)
         if self.system.on_sphere:
             base = p.location / np.linalg.norm(p.location)
             direction = direction - np.dot(direction, base) * base
@@ -1008,19 +1010,20 @@ class ModuliAnalysis:
         # backward time s corresponds to flow time -s before the launch
         return states[:, :0:-1], -ts[:, :0:-1]
 
-    def _classify(self, p, frame, angles, level, rtol=1e-8):
+    def _classify(self, p, angles):
         """Integrate one shot per angle, as one batch, and summarize
         where each went.
 
         Returns one (tag, descriptor) per angle: tag is 'crit:<id>',
         'exit' or 'lost', and the descriptor is the embedded crossing
-        point at the reference level (continuous within one trajectory
-        family, jumping across the stable set of a saddle), else the
-        embedded end of the shot.
+        point at the sweep's reference level (``_sweep_level``;
+        continuous within one trajectory family, jumping across the
+        stable set of a saddle), else the embedded end of the shot.
         """
         system = self.system
-        X = self._launch(p, frame, angles)
-        segs = integrate_flow(system, X, rtol=rtol, atol=1e-10, samples=200)
+        level = self._sweep_level(p)
+        X = self._launch(p, angles)
+        segs = integrate_flow(system, X, rtol=1e-8, atol=1e-10, samples=200)
         S = np.array([seg.states for seg in segs])
         T = np.array([seg.times for seg in segs])
         near, dist = _nearest_crits(system, self.critical_points, S[:, -1])
@@ -1043,25 +1046,28 @@ class ModuliAnalysis:
         )
         return list(zip(tags, system.embed(P)))
 
+    def _sweep_level(self, p) -> float:
+        """The level of f at which ``_classify`` reads its descriptors:
+        midway between the lowest saddle below p and the highest sink,
+        else between p and the lowest sink, else 0.5 below p."""
+        crits = self.critical_points
+        saddles = [c.value for c in crits if c.index == p.index - 1 and c.value < p.value]
+        sinks = [c.value for c in crits if c.index == p.index - 2]
+        if sinks and saddles:
+            return 0.5 * (min(saddles) + max(sinks))
+        if sinks:
+            return 0.5 * (p.value + min(sinks))
+        return p.value - 0.5
+
     def _sweep(self, p) -> dict:
         if p.id in self._sweeps:
             return self._sweeps[p.id]
         system = self.system
         crits = self.critical_points
-        frame = _unstable_frame(system, p)
         saddles = [c for c in crits if c.index == p.index - 1 and c.value < p.value]
-        sinks = [c for c in crits if c.index == p.index - 2]
-        if sinks and saddles:
-            level = 0.5 * (
-                min(s.value for s in saddles) + max(k.value for k in sinks)
-            )
-        elif sinks:
-            level = 0.5 * (p.value + min(k.value for k in sinks))
-        else:
-            level = p.value - 0.5
         n = self.resolution
         angles = np.arange(n) / n * TWO_PI
-        marks = self._classify(p, frame, angles, level)
+        marks = self._classify(p, angles)
         # the jump from each mark to the next, and whether their tags agree
         E = np.array([m[1] for m in marks])
         jumps = _norms(E - np.roll(E, -1, axis=0))
@@ -1086,7 +1092,7 @@ class ModuliAnalysis:
             if step % _LOOKAHEAD == 0:
                 depth = min(_LOOKAHEAD, 60 - step)
                 ahead = [m for c in open_ for m in _bisection_mids(c[0], c[1], depth)]
-                shot = dict(zip(ahead, self._classify(p, frame, ahead, level)))
+                shot = dict(zip(ahead, self._classify(p, ahead)))
             for c in open_:
                 lo, hi, mark_lo, mark_hi = c
                 mid = 0.5 * (lo + hi)
@@ -1126,7 +1132,7 @@ class ModuliAnalysis:
                 continue
             seen_angles.append(wrapped)
             distinct.append(angle)
-        X = self._launch(p, frame, distinct)
+        X = self._launch(p, distinct)
         hugs = []
         if saddles:
             # which saddle does each limiting shot hug, and where closest?
@@ -1148,7 +1154,7 @@ class ModuliAnalysis:
         ]
         special.sort(key=lambda s: s["angle"])
         result = {
-            "frame": frame, "level": level, "angles": angles, "marks": marks,
+            "angles": angles, "marks": marks,
             "candidates": candidates, "special": special,
         }
         self._sweeps[p.id] = result
@@ -1159,8 +1165,7 @@ class ModuliAnalysis:
     def _shot_trajectory(self, p, q, angles, samples=500) -> list[Trajectory]:
         """One trajectory of (p, q) per shooting angle; the forward shots
         and their backward prefixes each run as one batch."""
-        sweep = self._sweep(p)
-        X = self._launch(p, sweep["frame"], angles)
+        X = self._launch(p, angles)
         # prefixes first: their dense outputs are gone once sampled, so
         # they never sit in memory beside the forward ones
         prefixes = self._back_prefix(p, X)
@@ -1184,7 +1189,7 @@ class ModuliAnalysis:
         nexts = angles[1:] + angles[:1]
         spans = [(lo, hi + TWO_PI if hi <= lo else hi) for lo, hi in zip(angles, nexts)]
         mids = [0.5 * (lo + hi) for lo, hi in spans]
-        marks = self._classify(p, sweep["frame"], mids, sweep["level"])
+        marks = self._classify(p, mids)
         arcs = [
             ModuliArc(lo, hi, ends=(None, None))
             for (lo, hi), mark in zip(spans, marks)
@@ -1248,7 +1253,7 @@ class ModuliAnalysis:
                 *(arc.angle_lo + offsets), *(arc.angle_hi - offsets),
             ]
             samples += [500] * 4 + [300] * (2 * len(offsets))
-        X = self._launch(p, self._sweep(p)["frame"], angles)
+        X = self._launch(p, angles)
         # forward first: its dense output is the peak, and no prefix waits
         states = [seg.states for seg in integrate_flow(self.system, X, samples=samples)]
         shots = list(zip(self._back_prefix(p, X)[0], states))
@@ -1499,8 +1504,7 @@ def _frame_angles(analysis) -> dict:
     """
     system, dim = analysis.system, analysis.system.dim
     pairs = [pair for pair, data in sorted(analysis.pairs.items()) if data.dim == 0]
-    frames = {p: _unstable_frame(system, analysis.by_id[p]) for p, _ in pairs}
-    stable = {q: _stable_space(system, analysis.by_id[q]) for _, q in pairs}
+    frames = {p: analysis.by_id[p].unstable for p, _ in pairs}
     jobs = [
         (pair, np.concatenate([traj.states[1], frames[pair[0]].ravel()]))
         for pair in pairs
@@ -1517,7 +1521,7 @@ def _frame_angles(analysis) -> dict:
     for (pair, _), V in zip(jobs, moved):
         # transversality: the transported unstable frame and the stable
         # space of the target must jointly span the whole tangent space
-        combined = np.hstack([V, stable[pair[1]]])
+        combined = np.hstack([V, analysis.by_id[pair[1]].stable])
         if combined.shape[1] < target_dim:
             angles[pair].append(0.0)
             continue
@@ -1564,10 +1568,3 @@ def _transport(system, Z, k) -> np.ndarray:
         if not len(live):
             break
     return Z
-
-
-def _stable_space(system, crit) -> np.ndarray:
-    """Orthonormal columns spanning the stable space of the flow at a
-    critical point (tangent to the sphere on the sphere)."""
-    w, v = _linearization(system, crit.location)
-    return np.linalg.qr(v[:, w < 0])[0]

@@ -8,9 +8,8 @@ may record only some of its geometric walls (the stratified families
 built elsewhere use boxes whose upper walls carry no strata), and an
 axis may be flagged periodic (used for circle-shaped moduli spaces).
 
-Charts are affine: a piece's chart sends box coordinates u to A u + b in
-the piece's ambient copy.  Built-ins use the identity; shears are only
-used to exercise the chart-independence of the predicates.
+Points, distances and frames are all in box coordinates: a point is a
+piece index with its coordinates in that piece's box.
 """
 
 from __future__ import annotations
@@ -39,27 +38,6 @@ class Wall:
     @property
     def inward_sign(self) -> int:
         return 1 if self.side == 0 else -1
-
-
-@dataclass(frozen=True)
-class CornerChart:
-    """Affine chart of one piece: u -> matrix @ u + offset."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def to_ambient(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return u @ self.matrix.T + self.offset
-
-    def from_ambient(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        inv = np.linalg.inv(self.matrix)
-        return (w - self.offset) @ inv.T
-
-    @classmethod
-    def identity(cls, dim: int) -> "CornerChart":
-        return cls(np.eye(dim), np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -93,23 +71,25 @@ class BoxPiece:
         c = np.asarray(coords, dtype=float)[..., wall.axis]
         return wall.inward_sign * (c - self.wall_value(wall))
 
-    def contains(self, coords, tol: float = WALL_TOL):
-        """Whether the point, or each (..., dim) row, lies in the box."""
+    def contains(self, coords):
+        """Whether the point, or each (..., dim) row, lies in the box, to
+        within ``WALL_TOL``."""
         c = np.asarray(coords, dtype=float)
         if c.shape[-1] != self.dim:
             return np.zeros(c.shape[:-1], dtype=bool)
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         per = np.array([a in self.periodic for a in range(self.dim)], dtype=bool)
-        return (((c >= lo - tol) & (c <= hi + tol)) | per).all(axis=-1)
+        return (((c >= lo - WALL_TOL) & (c <= hi + WALL_TOL)) | per).all(axis=-1)
 
-    def walls_at(self, coords, tol: float = WALL_TOL):
-        """Recorded walls the point lies on; for an (n, dim) block, a
-        list with one wall set per row, read off one (rows, walls) mask."""
+    def walls_at(self, coords):
+        """Recorded walls the point lies on (to within ``WALL_TOL``); for
+        an (n, dim) block, a list with one wall set per row, read off one
+        (rows, walls) mask."""
         walls = sorted(self.walls)
         c = np.asarray(coords, dtype=float)
         rows = np.atleast_2d(c)[:, [w.axis for w in walls]]
-        on = np.abs(rows - [self.wall_value(w) for w in walls]) <= tol
+        on = np.abs(rows - [self.wall_value(w) for w in walls]) <= WALL_TOL
         sets = [frozenset(w for w, hit in zip(walls, row) if hit) for row in on]
         return sets if c.ndim > 1 else sets[0]
 
@@ -144,11 +124,11 @@ class StratumPatch:
 
 @dataclass(frozen=True)
 class SectorFrame:
-    """Inward frame along a stratum patch, in chart coordinates."""
+    """Inward frame along a stratum patch, in box coordinates."""
 
     patch: StratumPatch
     walls: tuple[Wall, ...]          # order fixes the frame order
-    vectors: np.ndarray              # (k, dim), chart coordinates
+    vectors: np.ndarray              # (k, dim), box coordinates
 
 
 class CorneredSpace:
@@ -157,7 +137,6 @@ class CorneredSpace:
     def __init__(
         self,
         pieces,
-        charts=None,
         face_labels: dict[tuple[int, Wall], str] | None = None,
         name: str = "",
     ):
@@ -168,11 +147,6 @@ class CorneredSpace:
         if len(dims) != 1:
             raise InputError(f"mixed piece dimensions {dims}")
         self.dim = dims.pop()
-        if charts is None:
-            charts = [CornerChart.identity(self.dim) for _ in self.pieces]
-        self.charts: tuple[CornerChart, ...] = tuple(charts)
-        if len(self.charts) != len(self.pieces):
-            raise InputError("one chart per piece required")
         labels = {}
         for i, piece in enumerate(self.pieces):
             for w in sorted(piece.walls):
@@ -210,18 +184,14 @@ class CorneredSpace:
         i, coords = self.piece_of(point)
         return self.pieces[i].walls_at(coords)
 
-    def to_ambient(self, point) -> np.ndarray:
-        i, coords = self.piece_of(point)
-        return self.charts[i].to_ambient(coords)
-
     def distance(self, a, b) -> np.ndarray:
-        """Euclidean distance in the reference chart between two points,
-        or row by row between two blocks of rows on one piece each;
-        +inf across pieces.  Broadcasts like the coordinate arrays."""
+        """Euclidean distance in box coordinates between two points, or
+        row by row between two blocks of rows on one piece each; +inf
+        across pieces.  Broadcasts like the coordinate arrays."""
         diff = np.asarray(a[1], dtype=float) - np.asarray(b[1], dtype=float)
         if a[0] != b[0]:
             return np.full(diff.shape[:-1], np.inf)
-        return np.linalg.norm(diff @ self.charts[a[0]].matrix.T, axis=-1)
+        return np.linalg.norm(diff, axis=-1)
 
     # -- faces ---------------------------------------------------------
 
@@ -280,7 +250,7 @@ class CorneredSpace:
         return blocks
 
     def face_intersection(self, faces) -> list[StratumPatch]:
-        """Chart presentation of the intersection of the given faces.
+        """Box presentation of the intersection of the given faces.
 
         Returns the stratum patches making up the intersection; an empty
         list signals an empty intersection.  Faces must have pairwise
@@ -308,25 +278,22 @@ class CorneredSpace:
 
         ``order`` fixes the wall ordering (defaults to sorted).  The
         i-th vector is tangent to every pinned wall except the i-th and
-        points into the piece; in chart coordinates these are the signed
-        columns of the chart matrix.
+        points into the piece: the signed unit vector of its wall's axis.
         """
         walls = tuple(order) if order is not None else tuple(sorted(patch.walls))
         if frozenset(walls) != patch.walls:
             raise InputError("order must be a permutation of the patch walls")
-        mat = self.charts[patch.piece].matrix
-        vecs = np.stack(
-            [w.inward_sign * mat[:, w.axis] for w in walls]
-        ) if walls else np.zeros((0, self.dim))
-        return SectorFrame(patch, walls, vecs)
+        signs = np.array([w.inward_sign for w in walls], dtype=float)[:, None]
+        return SectorFrame(patch, walls, signs * np.eye(self.dim)[[w.axis for w in walls]])
 
     def verify_frame_cone(self, frame: SectorFrame, samples: int = 64,
                           rng=None, tol: float = 1e-9) -> float:
         """Max residual of nonnegative representations in the frame.
 
         Samples a block of inward vectors of the tangent sector at the
-        patch and projects out the stratum tangent directions.  The
-        projected frame is a basis of the normal space, so each vector's
+        patch, projected onto the normal space: in box coordinates, the
+        stratum's free (tangent) coordinates are zero.  The projected
+        frame is a basis of the normal space, so each vector's
         representation in it is unique: it is solved for exactly, and
         the residual is that of its coefficients clipped at zero, which
         vanishes exactly when the vector lies in the frame's cone.
@@ -334,21 +301,13 @@ class CorneredSpace:
         rng = np.random.default_rng(rng)
         if not frame.patch.walls:
             return 0.0
-        mat = self.charts[frame.patch.piece].matrix
         walls = sorted(frame.patch.walls)
         pinned = [w.axis for w in walls]
-        free = [a for a in range(self.dim) if a not in pinned]
-        # projection onto the normal space, in chart coordinates:
-        # kill the free (tangent) columns of the chart matrix
-        q = np.linalg.qr(mat[:, free])[0]
-
-        def project(V):
-            return V - (V @ q) @ q.T
         coeffs = rng.uniform(0.0, 1.0, size=(samples, len(pinned)))
-        tang = rng.uniform(-1.0, 1.0, size=(samples, len(free)))
-        signs = np.array([w.inward_sign for w in walls])
-        targets = project((coeffs * signs) @ mat[:, pinned].T + tang @ mat[:, free].T)
-        basis = project(frame.vectors)  # (k, dim)
+        targets = np.zeros((samples, self.dim))
+        targets[:, pinned] = coeffs * [w.inward_sign for w in walls]
+        basis = np.zeros_like(frame.vectors)  # (k, dim)
+        basis[:, pinned] = frame.vectors[:, pinned]
         exact = np.linalg.lstsq(basis.T, targets.T, rcond=None)[0]
         res = np.linalg.norm(np.maximum(exact, 0.0).T @ basis - targets, axis=-1)
         worst = float(res.max(initial=0.0))

@@ -666,7 +666,7 @@ def test_junction_residual_matches_point_loop(oracle_atlas):
                 eps = atlas.eps(chain)
                 block, loop = _same_stream(
                     slot,
-                    lambda r: _junction_residual(atlas, c, junction, eps, 24, r),
+                    lambda r: _junction_residual(atlas, c, junction, eps, r),
                     lambda r: _junction_residual_loop(atlas, c, junction, eps, 24, r),
                 )
                 assert block == loop

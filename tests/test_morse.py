@@ -27,9 +27,7 @@ from strataglue.family import ArcData, ArcEnd, PairModuli, from_morse, save_fami
 from strataglue.morse import (
     _points_to_polyline,
     _segment_distances,
-    _stable_space,
     _tangent_basis,
-    _unstable_frame,
     hausdorff,
     hausdorff_to_union,
     integrate_flow,
@@ -134,9 +132,13 @@ def test_critical_points_match_scipy_root_oracle(make, tol):
         assert abs(c.value - system.f(u)) < 1e-12
         assert np.max(np.abs(c.location - u)) < tol
         assert abs(c.gradient_norm - gnorm) < tol
-        # the unstable frame and the stable space: orthonormal columns,
-        # index and tangent dim - index of them, spanning the tangent space
-        up, down = _unstable_frame(system, c), _stable_space(system, c)
+        # the unstable frame and the stable space: the QR of the point's
+        # linearization, orthonormal columns, index and tangent
+        # dim - index of them, spanning the tangent space
+        up, down = c.unstable, c.stable
+        w, v = morse._linearization(system, c.location)
+        assert up.tobytes() == np.linalg.qr(v[:, w > 0])[0].tobytes()
+        assert down.tobytes() == np.linalg.qr(v[:, w < 0])[0].tobytes()
         assert up.shape == (system.dim, c.index)
         assert down.shape == (system.dim, tangent - c.index)
         for frame in (up, down):
@@ -399,8 +401,8 @@ def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
     system = analysis.system
     p = analysis.by_id["c0"]
     sweep = analysis._sweep(p)
-    level = sweep["level"]
-    X = analysis._launch(p, sweep["frame"], sweep["angles"])
+    level = analysis._sweep_level(p)
+    X = analysis._launch(p, sweep["angles"])
     segs = integrate_flow(system, X, rtol=1e-8, atol=1e-10, samples=200)
     rows = []  # path, lo, hi, level, fallback
     for seg in segs:
@@ -437,7 +439,7 @@ def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
         return brentq_rows(f, a, b, **kwargs)
 
     monkeypatch.setattr(morse, "brentq_rows", counted)
-    analysis._classify(p, sweep["frame"], sweep["angles"], level)
+    analysis._classify(p, sweep["angles"])
     assert len(calls) == 2
     calls.clear()
     analysis._shot_trajectory(p, analysis.by_id["c3"], sweep["angles"][:7])
@@ -541,10 +543,10 @@ def test_dop853_rows_evaluated_rows_first(chunk, monkeypatch):
     assert integrate_flow(system, np.empty((0, 2))) == []
 
 
-def _scalar_launch(analysis, p, frame, angle):
+def _scalar_launch(analysis, p, angle):
     """One launch point: a bracket grown one step at a time, then scipy's
     brentq on f along the ray (or great circle)."""
-    system = analysis.system
+    system, frame = analysis.system, p.unstable
     if frame.shape[1] == 1:
         direction = frame[:, 0] * (1.0 if angle < math.pi else -1.0)
     else:
@@ -568,13 +570,12 @@ def _scalar_launch(analysis, p, frame, angle):
 def test_stacked_launch_points_match_one_angle_launches(name, request):
     analysis = request.getfixturevalue(name)
     p = next(c for c in analysis.critical_points if c.index == 2)
-    frame = _unstable_frame(analysis.system, p)
     angles = np.concatenate([np.arange(24) / 24 * 2 * math.pi, [1e-13, 3.0, 6.28]])
-    X = analysis._launch(p, frame, angles)
+    X = analysis._launch(p, angles)
     assert X.shape == (len(angles), analysis.system.dim)
     for angle, x in zip(angles, X):
-        assert analysis._launch(p, frame, [angle])[0].tobytes() == x.tobytes()
-        assert _scalar_launch(analysis, p, frame, angle).tobytes() == x.tobytes()
+        assert analysis._launch(p, [angle])[0].tobytes() == x.tobytes()
+        assert _scalar_launch(analysis, p, angle).tobytes() == x.tobytes()
 
 
 def test_speculative_bisection_is_exact(double_analysis, monkeypatch):
@@ -740,6 +741,23 @@ def test_transversality_reports_pinned(name, request, monkeypatch):
             assert abs(report["min_angle"] - angle) <= 1e-7
             assert report["transversal"] is True
     assert analysis._angles is not None
+
+
+def test_one_linearization_per_critical_point(monkeypatch):
+    # the frames of the sweep, the saddle descents and the transversality
+    # check all come from the one linearization find_critical_points takes
+    calls, linearization = [], morse._linearization
+
+    def counted(system, u):
+        calls.append(u)
+        return linearization(system, u)
+
+    monkeypatch.setattr(morse, "_linearization", counted)
+    analysis = analyze(tilted_torus())
+    for p, q in sorted(analysis.pairs):
+        morse.check_transversality(analysis.system, p, q, analysis=analysis)
+    assert len(analysis.critical_points) == 4
+    assert len(calls) == 4
 
 
 def test_saddle_connection_rejected():
@@ -1001,7 +1019,17 @@ def _companion(draw, P, min_size=1):
         Q = draw(_polyline(P.shape[1], min_size))
     if len(Q) < min_size:
         Q = np.vstack([Q, P[-min_size:]])
+    if len(Q) < min_size:
+        # P itself is shorter than min_size
+        Q = np.vstack([Q, np.repeat(Q[-1:], min_size - len(Q), axis=0)])
     return Q
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+def test_companion_has_min_size_vertices(data, n, min_size):
+    P = data.draw(_polyline(2))[:n]
+    assert len(data.draw(_companion(P, min_size))) >= min_size
 
 
 @st.composite
@@ -1172,8 +1200,7 @@ def test_saddle_descents_are_one_batch(torus_analysis, monkeypatch):
     for pair in (("c1", "c3"), ("c2", "c3")):
         p, q = analysis.by_id[pair[0]], analysis.by_id[pair[1]]
         got = analysis._saddle_descents(p, q)
-        frame = _unstable_frame(system, p)
-        segs = integrate_flow(system, [morse._shoot_start(system, p, frame, a) for a in (0.0, math.pi)])
+        segs = integrate_flow(system, [morse._shoot_start(system, p, a) for a in (0.0, math.pi)])
         want = morse._make_trajectories(system, p, [q, q], segs, (0.0, math.pi))
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
