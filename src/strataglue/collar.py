@@ -739,33 +739,22 @@ class SingleSpaceCollars:
     For every set of faces with nonempty intersection, ``glue`` moves a
     point of the open intersection off each face by its coordinate in
     [0, 1), scaled by the box side, so the empty set gives the inclusion
-    and nested subsets compose exactly.
+    and nested subsets compose exactly.  The faces are the space's
+    ``connected_faces``; a space that is not a manifold with faces
+    raises ``InputError``.
     """
 
-    def __init__(self, space, faces=None):
-        self.space = space
-        self.faces = list(faces) if faces is not None else space.connected_faces()
-        labels = [f.label for f in self.faces]
-        if len(set(labels)) != len(labels):
-            raise InputError("faces must carry distinct labels")
-        self._wall_face: dict = {}
-        for i, face in enumerate(self.faces):
-            for comp in face.components:
-                if comp in self._wall_face:
-                    raise InputError(
-                        f"faces {self._wall_face[comp]} and {i} overlap on {comp}"
-                    )
-                self._wall_face[comp] = i
-        recorded = {
-            (i, w)
-            for i, piece in enumerate(space.pieces)
-            for w in piece.walls
-        }
-        uncovered = recorded - set(self._wall_face)
-        if uncovered:
+    def __init__(self, space):
+        ok, witness = space.check_manifold_with_faces()
+        if not ok:
             raise InputError(
-                f"faces do not cover the boundary: {sorted(uncovered)[0]} free"
+                f"space is not a manifold with faces at patch {witness}"
             )
+        self.space = space
+        self.faces = space.connected_faces()
+        self._wall_face = {
+            comp: i for i, face in enumerate(self.faces) for comp in face.components
+        }
 
     def face_subsets(self) -> list[tuple[int, ...]]:
         """All index sets of faces with nonempty intersection, incl. ()."""
@@ -823,18 +812,10 @@ class SingleSpaceCollars:
         return self.space.sample_patches(pool, count, rng)
 
 
-def single_space_collars(space, faces=None) -> SingleSpaceCollars:
-    """Build the face collar system of one compact space with faces.
-
-    The faces must cover the recorded boundary with pairwise disjoint
-    interiors; parameters are rescaled so every collar domain is [0, 1).
-    """
-    ok, witness = space.check_manifold_with_faces()
-    if not ok:
-        raise InputError(
-            f"space is not a manifold with faces at patch {witness}"
-        )
-    return SingleSpaceCollars(space, faces)
+def single_space_collars(space) -> SingleSpaceCollars:
+    """The face collar system of one compact space with faces: one face
+    per label of its ``face_labels``, collar domains rescaled to [0, 1)."""
+    return SingleSpaceCollars(space)
 
 
 def check_single_space_compat(

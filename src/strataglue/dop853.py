@@ -204,15 +204,12 @@ def _dense(fun, y_old, y_new, K, h):
 
 
 class Dop853Path:
-    """Dense output of one integrated row: views into its batch's table.
+    """Dense output of one integrated row of a ``Dop853Rows`` batch.
 
     ``t`` holds the start, every step end and the final time (an event
     root, when a terminal event stopped the row).  Calling the path at
     a time gives a (dim,) state, at an array of m times an (m, dim)
-    array.  It evaluates the step interpolants the way scipy's
-    ``OdeSolution`` does: the step is found by a left-sided search of
-    the step starts and evaluated by Horner's rule in ``x`` and
-    ``1 - x``.
+    array; it evaluates through its batch.
     ``event`` is the index of the terminal event that stopped the row,
     or None; ``batch`` and ``row`` name the row in its ``Dop853Rows``.
     """
@@ -221,23 +218,14 @@ class Dop853Path:
         a, b = batch._start[row:row + 2]
         self.batch, self.row = batch, row
         self.event = batch.event[row]
-        self._t_old, self._h, self._y_old, self._F = (
-            part[a:b] for part in batch._steps
-        )
+        self._t_old, self._h = (part[a:b] for part in batch._steps[:2])
 
     @property
     def t(self):
         return np.append(self._t_old, self.batch.t_final[self.row])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        # the step starts are t without its final time: a search of t
-        # finds the same step, or one past the last, which the clip takes
-        # back
-        seg = np.searchsorted(self._t_old, t, side="left") - 1
-        seg = np.minimum(np.maximum(seg, 0), len(self._h) - 1)
-        x = ((t - self._t_old[seg]) / self._h[seg])[..., None]
-        return _horner(self._F, seg, x, self._y_old)
+        return self.batch(np.asarray(t, dtype=float)[None], [self.row])[0]
 
 
 class Dop853Rows:
@@ -273,10 +261,10 @@ class Dop853Rows:
     def __call__(self, t, rows=None):
         """Row ``rows[i]`` (row i by default) at ``t[i]``: one time per
         row gives (k, dim) states, one row of m times per row (k, m,
-        dim).  Row i equals, bit for bit, ``self[rows[i]](t[i])``.
-
-        Rows go ``_EVAL`` states at a time through one search and one
-        ``_horner`` call, which bounds the temporaries.
+        dim).  As in scipy's ``OdeSolution``, a left-sided search of the
+        row's step starts finds the step, evaluated by Horner's rule in
+        ``x`` and ``1 - x``.  Rows go ``_EVAL`` states at a time through
+        one search and one ``_horner`` call, which bounds the temporaries.
         """
         t_old, h, y_old, F = self._steps
         t = np.asarray(t, dtype=float)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, RangeError, UnsupportedDimensionError
 from .family import StratifiedFamily, from_morse
-from .dop853 import dop853_rows
+from .dop853 import _norm, dop853_rows
 from .numerics import _norms, brentq_rows, fd_jacobian
 from .poset import CriticalPoint
 
@@ -165,7 +165,9 @@ class MorseSystem:
         lo, hi = self.box
         return np.all((u >= lo + margin) & (u <= hi - margin), axis=-1)
 
-    def default_seeds(self, per_axis: int = 24) -> np.ndarray:
+    def default_seeds(self) -> np.ndarray:
+        """Newton starts: 24 per axis, 24 * 24 on the sphere."""
+        per_axis = 24
         if self.on_sphere:
             # Fibonacci points on the unit sphere
             k = np.arange(per_axis * per_axis)
@@ -397,11 +399,11 @@ class CriticalPointData:
     stable: np.ndarray
 
 
-def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointData]:
+def find_critical_points(system: MorseSystem) -> list[CriticalPointData]:
     """Deduplicated critical points with Morse indices.
 
-    All seeds take up to 60 Newton steps towards a zero of ``rhs`` at
-    once, each at most ``_NEWTON_STEP`` long, with the block's
+    The ``default_seeds`` take up to 60 Newton steps towards a zero of
+    ``rhs`` at once, each at most ``_NEWTON_STEP`` long, with the block's
     central-difference Jacobian and a pseudo-inverse, so singular rows
     take finite steps; on the sphere the radius term of ``rhs`` pins
     |u| = 1.  Rows that go non-finite drop out.  Zeros outside the
@@ -411,9 +413,7 @@ def find_critical_points(system: MorseSystem, seeds=None) -> list[CriticalPointD
     taken once, which also gives its unstable and stable frames;
     degenerate points are flagged non-Morse.
     """
-    if seeds is None:
-        seeds = system.default_seeds()
-    U = np.array(seeds, dtype=float)
+    U = system.default_seeds()
     live = np.arange(len(U))
     with np.errstate(all="ignore"):
         for _ in range(60):
@@ -501,10 +501,6 @@ class FlowSegment:
     sol: object  # the dense output: sol(t) is the state at time t
 
 
-def _speed(F) -> np.ndarray:
-    return np.sqrt(np.sum(F * F, axis=-1))
-
-
 def integrate_flow(
     system: MorseSystem,
     x,
@@ -527,7 +523,7 @@ def integrate_flow(
     if t_span[1] <= t_span[0]:
         raise InputError(f"time span {t_span} does not run forward")
     X = np.asarray(x, dtype=float)
-    events = [lambda Y, F: _speed(F) - stop_speed]
+    events = [lambda Y, F: _norm(F) - stop_speed]
     if system.box is not None:
         lo, hi = system.box
         events.append(
@@ -598,8 +594,8 @@ def _frame_direction(frame, angle) -> np.ndarray:
     return frame[:, 0] * math.cos(angle) + frame[:, 1] * math.sin(angle)
 
 
-def _shoot_start(system, crit, angle, delta=1e-4):
-    x = crit.location + delta * _frame_direction(crit.unstable, angle)
+def _shoot_start(system, crit, angle):
+    x = crit.location + 1e-4 * _frame_direction(crit.unstable, angle)
     if system.on_sphere:
         x = x / np.linalg.norm(x)
     return x
@@ -902,7 +898,7 @@ class ModuliAnalysis:
         if p.index == 1:
             return self._saddle_descents(p, q)
         return sorted(
-            (s["trajectory"] for s in self._sweep(p)["special"] if s["target"] == q.id),
+            (s for s in self._sweep(p)["special"] if s.target == q.id),
             key=lambda t: t.angle,
         )
 
@@ -993,20 +989,20 @@ class ModuliAnalysis:
             direction /= np.linalg.norm(direction)
         return direction
 
-    def _back_prefix(self, p, X0, samples: int = 60):
+    def _back_prefix(self, p, X0):
         """Backward paths from the rows of X0 up to (near) p, as one
-        batch: (n, samples - 1, dim) states and (n, samples - 1) times,
+        batch sampled 60 times: (n, 59, dim) states and (n, 59) times,
         each row ordered p -> x0 and without x0 itself."""
         system = self.system
         if system.on_sphere:
             # rhs_back is not -rhs there, so the stop test needs rhs
-            speed = lambda Y, F: _speed(system.rhs(Y)) - 1e-9
+            speed = lambda Y, F: _norm(system.rhs(Y)) - 1e-9
         else:
-            speed = lambda Y, F: _speed(F) - 1e-9
+            speed = lambda Y, F: _norm(F) - 1e-9
         ts, states = dop853_rows(
             system.rhs_back, np.reshape(X0, (-1, system.dim)), (0.0, 200.0),
             1e-10, 1e-12, [speed],
-        ).sample(samples)
+        ).sample(60)
         # backward time s corresponds to flow time -s before the launch
         return states[:, :0:-1], -ts[:, :0:-1]
 
@@ -1141,18 +1137,13 @@ class ModuliAnalysis:
                 D = np.linalg.norm(system.embed(seg.states) - S, axis=-1)
                 j, stop = divmod(int(np.argmin(D)), D.shape[1])
                 if D[j, stop] <= 1e-3:
-                    hugs.append((angle, x, seg, saddles[j], float(D[j, stop]), stop))
+                    hugs.append((angle, x, seg, saddles[j], stop))
         prefixes = self._back_prefix(p, [h[1] for h in hugs])
-        trajs = _make_trajectories(
+        special = _make_trajectories(
             system, p, [h[3] for h in hugs], [h[2] for h in hugs],
-            [h[0] for h in hugs], prefixes, stops=[h[5] for h in hugs],
+            [h[0] for h in hugs], prefixes, stops=[h[4] for h in hugs],
         )
-        special = [
-            {"angle": angle % TWO_PI, "target": best.id, "approach": bdist,
-             "trajectory": traj}
-            for (angle, x, seg, best, bdist, stop), traj in zip(hugs, trajs)
-        ]
-        special.sort(key=lambda s: s["angle"])
+        special.sort(key=lambda s: s.angle % TWO_PI)
         result = {
             "angles": angles, "marks": marks,
             "candidates": candidates, "special": special,
@@ -1185,20 +1176,18 @@ class ModuliAnalysis:
             # closed one-parameter family: no broken boundary
             circ = self._loop_length(p, q)
             return PairData((p.id, q.id), 1, circle=circ)
-        angles = [s["angle"] for s in special]
+        ends = list(zip(special, special[1:] + special[:1]))
+        angles = [s.angle % TWO_PI for s in special]
         nexts = angles[1:] + angles[:1]
         spans = [(lo, hi + TWO_PI if hi <= lo else hi) for lo, hi in zip(angles, nexts)]
         mids = [0.5 * (lo + hi) for lo, hi in spans]
         marks = self._classify(p, mids)
-        arcs = [
-            ModuliArc(lo, hi, ends=(None, None))
-            for (lo, hi), mark in zip(spans, marks)
-            if mark[0] == sink_tag
-        ]
-        if not arcs:
+        keep = [i for i, mark in enumerate(marks) if mark[0] == sink_tag]
+        if not keep:
             return None
+        arcs = [ModuliArc(*spans[i], ends=(None, None)) for i in keep]
         data = PairData((p.id, q.id), 1, arcs=arcs)
-        self._match_arc_ends(p, q, data)
+        self._match_arc_ends(p, q, data, [ends[i] for i in keep])
         return data
 
     # -- broken-limit matching ------------------------------------------
@@ -1208,30 +1197,25 @@ class ModuliAnalysis:
         right = self.pairs[(junction_id, q.id)].trajectories
         return left, right
 
-    def _special_by_angle(self, p, angle):
-        for s in self._sweep(p)["special"]:
-            gap = (s["angle"] - angle) % TWO_PI
-            if min(gap, TWO_PI - gap) < 1e-9:
-                return s
-        raise InputError(f"no special shot at angle {angle}")
-
-    def _match_arc_ends(self, p, q, data: PairData):
+    def _match_arc_ends(self, p, q, data: PairData, specials):
         """Match every arc end of (p, q) to a broken pair, and measure
-        each arc's end tables and length.  The arcs go in at most
-        ``_ARC_BATCHES`` groups of whole arcs, each shot as one batch
-        (``_arc_shots``) and freed before the next; each arc's shots
-        are embedded as polylines p -> q, used, and dropped."""
+        each arc's end tables and length; ``specials[i]`` holds the
+        sweep's special trajectories at the two ends of arc i.  The arcs
+        go in at most ``_ARC_BATCHES`` groups of whole arcs, each shot
+        as one batch (``_arc_shots``) and freed before the next; each
+        arc's shots are embedded as polylines p -> q, used, and dropped."""
         system, arcs = self.system, data.arcs
         size = -(-len(arcs) // _ARC_BATCHES)
-        for group in (arcs[i:i + size] for i in range(0, len(arcs), size)):
-            for arc, shots in zip(group, self._arc_shots(p, group)):
+        for i in range(0, len(arcs), size):
+            group = arcs[i:i + size]
+            for arc, ends, shots in zip(group, specials[i:], self._arc_shots(p, group)):
                 curves = [
                     system.embed(np.vstack([p.location, pre, states, q.location]))
                     for pre, states in shots
                 ]
                 arc.ends = tuple(
-                    self._match_end(p, q, angle, probe)
-                    for angle, probe in zip((arc.angle_lo, arc.angle_hi), curves)
+                    self._match_end(p, q, s, angle, probe)
+                    for s, angle, probe in zip(ends, (arc.angle_lo, arc.angle_hi), curves)
                 )
                 arc.length = self._arc_length(p, q, arc, curves[4:], *curves[2:4])
             del shots, curves  # the group's samples, before the next batch
@@ -1260,11 +1244,11 @@ class ModuliAnalysis:
         per_arc = len(shots) // len(arcs)
         return [shots[i:i + per_arc] for i in range(0, len(shots), per_arc)]
 
-    def _match_end(self, p, q, angle, probe) -> ArcEndData:
-        """The broken pair of the arc end at special ``angle``: the half
-        into q nearest (Hausdorff) to the embedded ``probe``."""
-        special = self._special_by_angle(p, angle)
-        junction = special["target"]
+    def _match_end(self, p, q, special, angle, probe) -> ArcEndData:
+        """The broken pair of the arc end at ``angle``, where the sweep's
+        ``special`` trajectory hugs a saddle: that trajectory, then the
+        half into q nearest (Hausdorff) to the embedded ``probe``."""
+        junction = special.target
         for part in ((p.id, junction), (junction, q.id)):
             if part not in self.pairs:
                 # the broken limit's half never lands: the saddle's
@@ -1276,11 +1260,10 @@ class ModuliAnalysis:
                     "connection, so the flow is not Morse-Smale"
                 )
         left, right = self._broken_parts(p, q, junction)
-        angle_in = special["trajectory"].angle
-        li = next(i for i, t in enumerate(left) if abs(t.angle - angle_in) < 1e-9)
+        li = next(i for i, t in enumerate(left) if t is special)
         best_ri, best_h = None, np.inf
         for ri, rtraj in enumerate(right):
-            h = hausdorff_to_union(probe, [left[li].points, rtraj.points])
+            h = hausdorff_to_union(probe, [special.points, rtraj.points])
             if h < best_h:
                 best_ri, best_h = ri, h
         return ArcEndData(junction, li, best_ri, angle, best_h)
@@ -1379,11 +1362,11 @@ class ModuliAnalysis:
         return from_morse(points, self.relations(), self.pairs, name=self.system.name)
 
 
-def _end_offsets(arc, depth: int = 25) -> np.ndarray:
-    """Shooting offsets of an end table, from either end of the arc:
-    halving towards the end, the largest reaching the arc midpoint."""
+def _end_offsets(arc) -> np.ndarray:
+    """The 25 shooting offsets of an end table, from either end of the
+    arc: halving towards the end, the largest reaching the arc midpoint."""
     span = arc.angle_hi - arc.angle_lo
-    return span * 0.5 * (0.5 ** np.arange(depth))[::-1]
+    return span * 0.5 * (0.5 ** np.arange(25))[::-1]
 
 
 def _bisection_mids(lo, hi, depth):
@@ -1564,7 +1547,7 @@ def _transport(system, Z, k) -> np.ndarray:
         frames, _ = np.linalg.qr(ends[:, dim:].reshape(len(live), dim, k))
         ends[:, dim:] = frames.reshape(len(live), -1)
         Z[live] = ends
-        live = live[_speed(system.rhs(ends[:, :dim])) >= 1e-7]
+        live = live[_norm(system.rhs(ends[:, :dim])) >= 1e-7]
         if not len(live):
             break
     return Z

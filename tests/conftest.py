@@ -38,7 +38,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                         ("error", "FAIL")):
         for rep in terminalreporter.stats.get(status, []):
             nodeid = getattr(rep, "nodeid", "")
-            if "test_acceptance" in nodeid and "::" in nodeid:
+            if "::" in nodeid and nodeid.split("::")[0].endswith("test_acceptance.py"):
                 lines.append((nodeid.split("::")[-1], tag))
     if lines:
         terminalreporter.write_line("")

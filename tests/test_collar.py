@@ -33,6 +33,7 @@ from strataglue import (
 from strataglue.collar import (
     SNAP_TOL,
     AffineChart,
+    SingleSpaceCollars,
     _glue_map,
     _glue_rows,
     _junction_residual,
@@ -420,6 +421,17 @@ def test_single_space_rejects_wrong_face_set(rng):
         subset = next(s for s in collars.face_subsets() if s)
         # locate the subset pinning the lower wall, then exceed the range
         collars.glue(subset, corner, [1.5])
+
+
+@pytest.mark.parametrize("build", [single_space_collars, SingleSpaceCollars])
+def test_single_space_refuses_a_face_meeting_itself(build):
+    # both lower walls of a square labelled "L": the corner where they
+    # meet lies on one face twice, so the square is not a manifold with
+    # faces under these labels
+    labels = {(0, Wall(0, 0)): "L", (0, Wall(1, 0)): "L"}
+    space = CorneredSpace(box_space([1.0, 1.0]).pieces, face_labels=labels)
+    with pytest.raises(InputError, match="not a manifold with faces"):
+        build(space)
 
 
 def test_single_space_block_on_two_patches_of_one_face_raises():

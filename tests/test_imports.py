@@ -1,4 +1,5 @@
-"""Every top-level import of the library and the tests is used."""
+"""Every top-level import of the library and the tests is used, and
+every defaulted parameter of a private library function is passed."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src" / "strataglue").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+LIBRARY = sorted((ROOT / "src" / "strataglue").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
 
 
 def _unused_imports(source: str, package: bool = False) -> list[str]:
@@ -47,3 +47,66 @@ def test_unused_import_is_reported():
     # relative imports are re-exports only in a package's __init__
     assert _unused_imports("from .x import y\n") == ["y (line 1)"]
     assert _unused_imports("from .x import y\nimport os\n", package=True) == ["os (line 2)"]
+
+
+def _unpassed_settings(library: list[str], callers: list[str]) -> list[str]:
+    """``name(param)`` for each defaulted parameter of a private
+    (single-underscore) function or method in the ``library`` sources
+    that no call of that name in the ``callers`` sources passes, by
+    keyword or by position.  A method's positions start after ``self``;
+    a call with ``*args`` or ``**kwargs`` passes everything it could."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    out = []
+    for source in library:
+        tree = ast.parse(source)
+        methods = {
+            id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or not f.name.startswith("_") or (
+                f.name.startswith("__")
+            ):
+                continue
+            params = [a.arg for a in f.args.posonlyargs + f.args.args]
+            if id(f) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list
+            ):
+                params = params[1:]
+            first = len(params) - len(f.args.defaults)
+            defaulted = [(name, i) for i, name in enumerate(params) if i >= first] + [
+                (a.arg, None)
+                for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None
+            ]
+            named = calls.get(f.name, [])
+            for name, pos in defaulted:
+                if not any(
+                    any(k.arg in (name, None) for k in c.keywords)
+                    or any(isinstance(a, ast.Starred) for a in c.args)
+                    or (pos is not None and len(c.args) > pos)
+                    for c in named
+                ):
+                    out.append(f"{f.name}({name})")
+    return out
+
+
+def test_every_private_setting_is_passed():
+    sources = [path.read_text() for path in MODULES]
+    assert _unpassed_settings([path.read_text() for path in LIBRARY], sources) == []
+
+
+def test_unpassed_setting_is_reported():
+    library = (
+        "def _f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n    def _m(self, x=0, y=0):\n        pass\n"
+        "    def __init__(self, z=0):\n        pass\n"
+        "def g(e=1):\n    pass\n"
+    )
+    callers = "_f(0, 5)\n_f(0, d=4)\nk._m(1)\n"
+    assert _unpassed_settings([library], [library, callers]) == ["_f(c)", "_m(y)"]
+    # a starred call could pass any of them
+    assert _unpassed_settings([library], ["_f(*a)\nk._m(**kw)\n"]) == []

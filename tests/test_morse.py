@@ -592,9 +592,9 @@ def test_speculative_bisection_is_exact(double_analysis, monkeypatch):
                 assert m3[0] == m1[0] and m3[1].tobytes() == m1[1].tobytes()
         for m3, m1 in zip(ahead["marks"], one["marks"], strict=True):
             assert m3[0] == m1[0] and m3[1].tobytes() == m1[1].tobytes()
-        assert [s["angle"] for s in ahead["special"]] == [s["angle"] for s in one["special"]]
+        assert [s.angle for s in ahead["special"]] == [s.angle for s in one["special"]]
         for s3, s1 in zip(ahead["special"], one["special"]):
-            assert s3["trajectory"].states.tobytes() == s1["trajectory"].states.tobytes()
+            assert s3.states.tobytes() == s1.states.tobytes()
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -1171,12 +1171,17 @@ def test_arc_ends_shoot_one_batch_pair_per_arc_group(name, batches, request, mon
     fresh = morse.PairData(data.pair, 1, arcs=[
         morse.ModuliArc(arc.angle_lo, arc.angle_hi, ends=(None, None)) for arc in data.arcs
     ])
+    # each arc's two end specials: the sweep's, at its low end and the next
+    special = analysis._sweep(analysis.by_id["c0"])["special"]
+    at = {a.angle % (2 * math.pi): (a, b) for a, b in zip(special, special[1:] + special[:1])}
     rows = []
     monkeypatch.setattr(
         morse, "dop853_rows",
         lambda fun, y0, *args: rows.append(len(y0)) or dop853_rows(fun, y0, *args),
     )
-    analysis._match_arc_ends(analysis.by_id["c0"], analysis.by_id["c3"], fresh)
+    analysis._match_arc_ends(
+        analysis.by_id["c0"], analysis.by_id["c3"], fresh, [at[arc.angle_lo] for arc in data.arcs]
+    )
     assert len(rows) == batches
     assert sum(rows) == 2 * len(data.arcs) * (4 + 2 * len(morse._end_offsets(data.arcs[0])))
     for got, want in zip(fresh.arcs, data.arcs, strict=True):
