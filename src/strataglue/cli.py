@@ -11,7 +11,8 @@ Three subcommands:
   optionally export the result as a family file.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 input error,
-3 numerical abort (a collar width underflow).
+3 numerical abort (a collar width underflow, or a sweep grid interval
+that holds no separatrix angle).
 """
 
 from __future__ import annotations

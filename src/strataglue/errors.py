@@ -14,7 +14,8 @@ class UnsupportedDimensionError(InputError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed: a collar width underflow."""
+    """A numerical procedure failed: a collar width underflow, or a
+    Morse sweep grid interval whose jump no separatrix angle explains."""
 
 
 class EpsilonUnderflowError(NumericalError):

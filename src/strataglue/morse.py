@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, RangeError, UnsupportedDimensionError
+from .errors import InputError, NumericalError, RangeError, UnsupportedDimensionError
 from .family import StratifiedFamily, from_morse
 from .dop853 import _norm, dop853_rows
 from .numerics import _norms, brentq_rows, fd_jacobian
@@ -523,14 +523,9 @@ def integrate_flow(
     if t_span[1] <= t_span[0]:
         raise InputError(f"time span {t_span} does not run forward")
     X = np.asarray(x, dtype=float)
-    events = [lambda Y, F: _norm(F) - stop_speed]
-    if system.box is not None:
-        lo, hi = system.box
-        events.append(
-            lambda Y, F: np.min(np.minimum(Y - lo, hi - Y), axis=-1) + 1e-9
-        )
     paths = dop853_rows(
-        system.rhs, np.reshape(X, (-1, system.dim)), t_span, rtol, atol, events
+        system.rhs, np.reshape(X, (-1, system.dim)), t_span, rtol, atol,
+        _stop_events(system, stop_speed),
     )
     counts = np.broadcast_to(samples, len(paths))
     out = [None] * len(paths)
@@ -541,6 +536,18 @@ def integrate_flow(
             status = "time" if event is None else ("converged", "exited")[event]
             out[r] = FlowSegment(ts, states, status, paths[r])
     return out[0] if X.ndim == 1 else out
+
+
+def _stop_events(system, stop_speed):
+    """The ``dop853_rows`` events of a flow line: its speed falls below
+    ``stop_speed`` (converged), or it leaves the box (exited)."""
+    events = [lambda Y, F: _norm(F) - stop_speed]
+    if system.box is not None:
+        lo, hi = system.box
+        events.append(
+            lambda Y, F: np.min(np.minimum(Y - lo, hi - Y), axis=-1) + 1e-9
+        )
+    return events
 
 
 def _level_crossings(system, paths, lo, hi, levels, fallback) -> np.ndarray:
@@ -1006,6 +1013,35 @@ class ModuliAnalysis:
         # backward time s corresponds to flow time -s before the launch
         return states[:, :0:-1], -ts[:, :0:-1]
 
+    def _separatrix_angles(self, p, saddles) -> list[float]:
+        """The launch angles of p whose shots run into a saddle, read
+        off the saddles' stable branches (Krauskopf et al., IJBC 15(3),
+        2005): both branches of every saddle, started 1e-5 off it along
+        its one stable direction, run backward as one batch until they
+        stop or leave the box.  Each branch that ends within 1e-4 of p
+        crosses p's launch level once, and the angle of that crossing
+        in p's unstable frame, nearest period shift, is its special
+        angle, in [0, 2 pi)."""
+        system = self.system
+        X0 = [s.location + sign * 1e-5 * s.stable[:, 0] for s in saddles for sign in (1, -1)]
+        paths = dop853_rows(
+            system.rhs_back, np.array(X0), (0.0, 400.0), 1e-10, 1e-12,
+            _stop_events(system, 1e-9),
+        )
+        ends = paths(paths.t_final)
+        near, dist = _nearest_crits(system, self.critical_points, ends)
+        rows = [r for r in range(len(X0)) if self.critical_points[near[r]] is p and dist[r] <= 1e-4]
+        X = _level_crossings(
+            system, [paths[r] for r in rows], np.zeros(len(rows)), paths.t_final[rows],
+            np.full(len(rows), self._launch_level(p)), ends[rows],
+        )
+        D = X - p.location
+        if system.period:
+            shifted = D[:, None] + _period_shifts(system)
+            D = shifted[np.arange(len(D)), np.argmin(_norms(shifted), axis=1)]
+        A = D @ p.unstable
+        return list(np.arctan2(A[:, 1], A[:, 0]) % TWO_PI)
+
     def _classify(self, p, angles):
         """Integrate one shot per angle, as one batch, and summarize
         where each went.
@@ -1076,47 +1112,26 @@ class ModuliAnalysis:
             for i in range(n)
             if not same[i] or jumps[i] > thresh
         ]
-        # bisect every candidate in lockstep, _LOOKAHEAD rounds per
-        # batch: the batch shoots every midpoint those rounds could
-        # visit, and the rounds then replay from its marks.  Rows are
-        # independent, so each candidate ends where bisecting it alone,
-        # one shot per round, would
-        for step in range(60):
-            open_ = [c for c in candidates if c[1] - c[0] >= 1e-12]
-            if not open_:
-                break
-            if step % _LOOKAHEAD == 0:
-                depth = min(_LOOKAHEAD, 60 - step)
-                ahead = [m for c in open_ for m in _bisection_mids(c[0], c[1], depth)]
-                shot = dict(zip(ahead, self._classify(p, ahead)))
-            for c in open_:
-                lo, hi, mark_lo, mark_hi = c
-                mid = 0.5 * (lo + hi)
-                mark_mid = shot[mid]
-                if mark_mid[0] == mark_lo[0] and (
-                    mark_mid[0] != mark_hi[0]
-                    or np.linalg.norm(mark_mid[1] - mark_lo[1])
-                    <= np.linalg.norm(mark_mid[1] - mark_hi[1])
+        if saddles and p.unstable.shape[1] == 2 and all(s.stable.shape[1] == 1 for s in saddles):
+            # a 2-D phase space: the saddles' stable branches give the
+            # special angles, and every grid interval whose shots reach
+            # a critical point on one side must hold one of them, up to
+            # the 1e-7 within which the sweep takes two angles as one (a
+            # grid shot that reaches a saddle sits on a branch itself)
+            raw_special = self._separatrix_angles(p, saddles)
+            for lo, hi, mark_lo, mark_hi in candidates:
+                if not (mark_lo[0].startswith("crit:") or mark_hi[0].startswith("crit:")):
+                    continue
+                if not any(
+                    lo - 1e-7 <= a + shift <= hi + 1e-7
+                    for a in raw_special for shift in (-TWO_PI, 0.0, TWO_PI)
                 ):
-                    c[0], c[2] = mid, mark_mid
-                elif mark_mid[0] == mark_hi[0]:
-                    c[1], c[3] = mid, mark_mid
-                else:
-                    # the midpoint shot itself converged elsewhere: it is
-                    # essentially on the separating trajectory
-                    c[0] = c[1] = mid
-        raw_special = [
-            0.5 * (lo + hi)
-            for lo, hi, mark_lo, mark_hi in candidates
-            # a gap that closed under refinement is not a real jump
-            if not (
-                hi - lo > 1e-10
-                or (
-                    mark_lo[0] == mark_hi[0]
-                    and np.linalg.norm(mark_lo[1] - mark_hi[1]) < 1e-4
-                )
-            )
-        ]
+                    raise NumericalError(
+                        f"sweep of {p.id}: grid interval [{lo:.12g}, {hi:.12g}] "
+                        f"({mark_lo[0]} | {mark_hi[0]}) holds no separatrix angle"
+                    )
+        else:
+            raw_special = self._bisect(p, candidates)
         distinct = []
         seen_angles: list[float] = []
         for angle in raw_special:
@@ -1150,6 +1165,52 @@ class ModuliAnalysis:
         }
         self._sweeps[p.id] = result
         return result
+
+    def _bisect(self, p, candidates) -> list[float]:
+        """Bisect every grid candidate of ``_sweep`` in place, and return
+        the midpoints of those that close onto a jump: the special
+        angles where no saddle's stable space is a line."""
+        # bisect every candidate in lockstep, _LOOKAHEAD rounds per
+        # batch: the batch shoots every midpoint those rounds could
+        # visit, and the rounds then replay from its marks.  Rows are
+        # independent, so each candidate ends where bisecting it alone,
+        # one shot per round, would
+        for step in range(60):
+            open_ = [c for c in candidates if c[1] - c[0] >= 1e-12]
+            if not open_:
+                break
+            if step % _LOOKAHEAD == 0:
+                depth = min(_LOOKAHEAD, 60 - step)
+                ahead = [m for c in open_ for m in _bisection_mids(c[0], c[1], depth)]
+                shot = dict(zip(ahead, self._classify(p, ahead)))
+            for c in open_:
+                lo, hi, mark_lo, mark_hi = c
+                mid = 0.5 * (lo + hi)
+                mark_mid = shot[mid]
+                if mark_mid[0] == mark_lo[0] and (
+                    mark_mid[0] != mark_hi[0]
+                    or np.linalg.norm(mark_mid[1] - mark_lo[1])
+                    <= np.linalg.norm(mark_mid[1] - mark_hi[1])
+                ):
+                    c[0], c[2] = mid, mark_mid
+                elif mark_mid[0] == mark_hi[0]:
+                    c[1], c[3] = mid, mark_mid
+                else:
+                    # the midpoint shot itself converged elsewhere: it is
+                    # essentially on the separating trajectory
+                    c[0] = c[1] = mid
+        return [
+            0.5 * (lo + hi)
+            for lo, hi, mark_lo, mark_hi in candidates
+            # a gap that closed under refinement is not a real jump
+            if not (
+                hi - lo > 1e-10
+                or (
+                    mark_lo[0] == mark_hi[0]
+                    and np.linalg.norm(mark_lo[1] - mark_hi[1]) < 1e-4
+                )
+            )
+        ]
 
     # -- one-dimensional moduli -----------------------------------------
 
@@ -1308,8 +1369,9 @@ class ModuliAnalysis:
     def glue(self, gamma1: Trajectory, gamma2: Trajectory, lam: float) -> Trajectory:
         """The unbroken trajectory at gluing parameter lam > 0.
 
-        gamma1 and gamma2 are an adjacent broken pair; lam is Hausdorff
-        arc length of the 1-dim moduli space measured from that broken
+        gamma1 and gamma2 are an adjacent broken pair, both trajectories
+        of this analysis (matched by identity); lam is Hausdorff arc
+        length of the 1-dim moduli space measured from that broken
         boundary point.
         """
         if lam <= 0:
@@ -1323,12 +1385,10 @@ class ModuliAnalysis:
         left, right = self._broken_parts(
             self.by_id[p_id], self.by_id[q_id], junction
         )
-        li = next(
-            i for i, t in enumerate(left) if abs(t.angle - gamma1.angle) < 1e-9
-        )
-        ri = next(
-            i for i, t in enumerate(right) if abs(t.angle - gamma2.angle) < 1e-9
-        )
+        li = next((i for i, t in enumerate(left) if t is gamma1), None)
+        ri = next((i for i, t in enumerate(right) if t is gamma2), None)
+        if li is None or ri is None:
+            raise InputError("broken pair is not one of this analysis's trajectories")
         for arc in pair.arcs:
             for side, end in enumerate(arc.ends):
                 if (
@@ -1432,8 +1492,9 @@ def detect_broken(system, p, q, analysis=None):
     return data
 
 
-def numerical_glue(system, gamma1, gamma2, lam, analysis=None) -> Trajectory:
-    analysis = analysis or analyze(system)
+def numerical_glue(system, gamma1, gamma2, lam, analysis) -> Trajectory:
+    """``analysis.glue``: gamma1 and gamma2 must be trajectories of
+    ``analysis``, the analysis of ``system``."""
     return analysis.glue(gamma1, gamma2, lam)
 
 

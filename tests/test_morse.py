@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from strataglue import (
     CriticalPoint,
     InputError,
+    MorseSystem,
     RangeError,
     analyze,
     detect_broken,
@@ -23,6 +24,7 @@ from strataglue import (
 )
 from strataglue import dop853, morse
 from strataglue.dop853 import dop853_rows
+from strataglue.errors import NumericalError
 from strataglue.family import ArcData, ArcEnd, PairModuli, from_morse, save_family
 from strataglue.morse import (
     _points_to_polyline,
@@ -578,12 +580,46 @@ def test_stacked_launch_points_match_one_angle_launches(name, request):
         assert _scalar_launch(analysis, p, angle).tobytes() == x.tobytes()
 
 
-def test_speculative_bisection_is_exact(double_analysis, monkeypatch):
+def _double3():
+    # the built-in double lifted to 3-D by a stable z: each saddle's
+    # stable space is a plane, so the sweep of c0 bisects its grid
+    def h(t):
+        return t ** 3 / 3.0 - t
+
+    return MorseSystem(
+        "double3", 3,
+        lambda u: h(u[..., 0]) + 1.3 * h(u[..., 1]) + 0.5 * u[..., 2] ** 2,
+        grad=lambda u: np.stack(
+            [u[..., 0] ** 2 - 1.0, 1.3 * (u[..., 1] ** 2 - 1.0), u[..., 2]], axis=-1
+        ),
+        box=([-2.5] * 3, [2.5] * 3),
+    )
+
+
+@pytest.fixture(scope="module")
+def double3_analysis():
+    return analyze(_double3())
+
+
+def test_double3_lift_matches_builtin(double3_analysis, double_analysis):
+    lift = double3_analysis
+    assert all(c.stable.shape[1] == 2 for c in lift.critical_points if c.index == 1)
+    assert [c.index for c in lift.critical_points] == [2, 1, 1, 0]
+    assert sorted(lift.pairs) == sorted(double_analysis.pairs)
+    for pair, want in double_analysis.pairs.items():
+        got = lift.pairs[pair]
+        assert (got.dim, got.count, len(got.arcs)) == (want.dim, want.count, len(want.arcs))
+        for a, b in zip(got.arcs, want.arcs):
+            assert [e.junction for e in a.ends] == [e.junction for e in b.ends]
+            assert abs(a.length - b.length) < 1e-5
+
+
+def test_speculative_bisection_is_exact(double3_analysis, monkeypatch):
     # one round per batch is the plain sequential bisection
     monkeypatch.setattr(morse, "_LOOKAHEAD", 1)
-    sequential = analyze(double_system())
-    assert double_analysis._sweeps.keys() == sequential._sweeps.keys()
-    for pid, ahead in double_analysis._sweeps.items():
+    sequential = analyze(_double3())
+    assert double3_analysis._sweeps.keys() == sequential._sweeps.keys()
+    for pid, ahead in double3_analysis._sweeps.items():
         one = sequential._sweeps[pid]
         assert ahead["candidates"]
         for c3, c1 in zip(ahead["candidates"], one["candidates"], strict=True):
@@ -595,6 +631,86 @@ def test_speculative_bisection_is_exact(double_analysis, monkeypatch):
         assert [s.angle for s in ahead["special"]] == [s.angle for s in one["special"]]
         for s3, s1 in zip(ahead["special"], one["special"]):
             assert s3.states.tobytes() == s1.states.tobytes()
+
+
+def _oracle_separatrix_angles(analysis, p):
+    """scipy's DOP853 on every saddle's two backward stable branches,
+    and scipy's brentq for each crossing of p's launch level."""
+    system = analysis.system
+    level = analysis._launch_level(p)
+    speed = lambda t, y: np.linalg.norm(system.rhs_back(y)) - 1e-9
+    events = [speed]
+    if system.box is not None:
+        lo, hi = system.box
+        events.append(lambda t, y: np.min(np.minimum(y - lo, hi - y)) + 1e-9)
+    for event in events:
+        event.terminal, event.direction = True, -1
+    angles = []
+    for s in analysis.critical_points:
+        if s.index != 1:
+            continue
+        for sign in (1.0, -1.0):
+            sol = solve_ivp(
+                lambda t, y: system.rhs_back(y), (0.0, 400.0),
+                s.location + sign * 1e-5 * s.stable[:, 0], method="DOP853",
+                rtol=1e-13, atol=1e-15, dense_output=True, events=events,
+            )
+            if system.distance(sol.y[:, -1], p.location) > 1e-4:
+                continue
+            t = brentq(lambda t: system.f(sol.sol(t)) - level, 0.0, sol.t[-1], xtol=1e-14)
+            d = sol.sol(t) - p.location
+            if system.period:
+                d = (d + math.pi) % (2 * math.pi) - math.pi
+            a = d @ p.unstable
+            angles.append(math.atan2(a[1], a[0]) % (2 * math.pi))
+    return sorted(angles)
+
+
+@pytest.mark.parametrize("name", ["torus_analysis", "double_analysis"])
+def test_separatrix_angles_match_scipy_oracle(name, request):
+    analysis = request.getfixturevalue(name)
+    p = analysis.by_id["c0"]
+    got = [s.angle for s in analysis._sweep(p)["special"]]
+    want = _oracle_separatrix_angles(analysis, p)
+    assert len(got) == len(want) == (4 if name == "torus_analysis" else 2)
+    for a, b in zip(got, want):
+        assert min(abs(a - b), 2 * math.pi - abs(a - b)) < 1e-10, (got, want)
+
+
+def test_sweep_jump_without_separatrix_is_a_numerical_error(monkeypatch):
+    # drop the first stable branch: its grid jump is left unexplained
+    angles = morse.ModuliAnalysis._separatrix_angles
+    monkeypatch.setattr(
+        morse.ModuliAnalysis, "_separatrix_angles",
+        lambda self, p, saddles: angles(self, p, saddles)[1:],
+    )
+    with pytest.raises(NumericalError, match=r"sweep of c0: grid interval \[.*\] \(crit:"):
+        analyze(double_system())
+
+
+def test_torus_moduli_do_not_depend_on_the_resolution(torus_analysis):
+    # at the grid's coarse end the jump test once missed (c0,c2)
+    want = torus_analysis.pairs[("c0", "c3")].arcs
+    for resolution in (16, 32, 64, 128):
+        analysis = (
+            torus_analysis if resolution == 64 else analyze(tilted_torus(), resolution)
+        )
+        assert len(analysis.pairs) == 5
+        for (p, q), data in analysis.pairs.items():
+            if data.dim == 0:
+                assert data.count == 2
+        arcs = analysis.pairs[("c0", "c3")].arcs
+        assert len(arcs) == 4
+        for a, b in zip(arcs, want):
+            assert [(e.junction, e.left_index, e.right_index) for e in a.ends] == [
+                (e.junction, e.left_index, e.right_index) for e in b.ends
+            ]
+            assert abs(a.length - b.length) <= 1e-6 * b.length
+        # both stable branches of each saddle come from c0, the one source
+        for s in ("c1", "c2"):
+            assert sum(
+                data.count for (p, q), data in analysis.pairs.items() if q == s
+            ) == 2
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -633,6 +749,11 @@ def test_glue_rejects_bad_parameters(torus_analysis):
         torus_analysis.glue(g1, g2, 1e6)
     with pytest.raises(InputError):
         torus_analysis.glue(g2, g1, 0.01)  # no shared junction
+    # an equal copy is not one of the analysis's own trajectories
+    with pytest.raises(InputError, match="not one of this analysis"):
+        torus_analysis.glue(copy.copy(g1), g2, 0.01)
+    with pytest.raises(InputError, match="not one of this analysis"):
+        torus_analysis.glue(g1, copy.copy(g2), 0.01)
 
 
 # -- sphere ------------------------------------------------------------
