@@ -73,13 +73,10 @@ from .morse import (
     MorseSystem,
     ModuliAnalysis,
     analyze,
-    detect_broken,
     double_system,
-    export_family,
     find_critical_points,
     find_trajectories,
     integrate_flow,
-    numerical_glue,
     round_sphere,
     system_from_expression,
     tilted_torus,

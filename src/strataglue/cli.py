@@ -70,7 +70,7 @@ def _load_family(source: str):
     if m:
         return cube_family(int(m.group(1)))
     if source in morse.BUILTIN_SYSTEMS:
-        return morse.export_family(morse.BUILTIN_SYSTEMS[source]())
+        return morse.analyze(morse.BUILTIN_SYSTEMS[source]()).to_family()
     path = Path(source)
     if not path.exists():
         raise InputError(f"family source {source!r}: no such file or built-in")
@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
     else:
         if args.size is not None:
             raise InputError(f"generate {args.what} takes no size argument")
-        family = morse.export_family(morse.BUILTIN_SYSTEMS[args.what]())
+        family = morse.analyze(morse.BUILTIN_SYSTEMS[args.what]()).to_family()
         default_name = f"{args.what}.json"
     out = Path(args.out) if args.out else Path(default_name)
     # Path drops a trailing separator, which marks a directory to create
@@ -164,6 +164,12 @@ def cmd_verify(args) -> int:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     if not 0 <= args.tol < np.inf:
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
+    if not 0 < args.epsilon_floor < np.inf:
+        raise InputError(
+            f"--epsilon-floor must be a finite number > 0, got {args.epsilon_floor}"
+        )
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     family = _load_family(args.family)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -336,6 +342,7 @@ def cmd_morse(args) -> int:
         "transversality": [],
     }
     ok = True
+    transversality = morse.check_transversality(analysis)
     for (p, q), data in sorted(analysis.pairs.items()):
         if data.dim == 0:
             detail = {
@@ -368,7 +375,7 @@ def cmd_morse(args) -> int:
             }
             residual = max(e.hausdorff for a in data.arcs for e in a.ends)
         doc["pairs"][f"{p}|{q}"] = detail
-        trep = morse.check_transversality(system, p, q, analysis=analysis)
+        trep = transversality[(p, q)]
         doc["transversality"].append(
             {
                 "pair": [p, q],

@@ -10,7 +10,10 @@ class RangeError(InputError):
 
 
 class UnsupportedDimensionError(InputError):
-    """Moduli data of dimension >= 2 cannot be imported."""
+    """A dimension the package does not handle: moduli of dimension
+    >= 2 (to import or to compute), a custom flow system outside
+    dimensions 1 to 3, or a Morse sweep from a source whose unstable
+    space has more than 2 dimensions."""
 
 
 class NumericalError(RuntimeError):

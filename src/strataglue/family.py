@@ -134,17 +134,16 @@ def shear_diffeo(dim: int, strength: float = 0.2, axis: int = 0,
     return Diffeo(fwd, inv)
 
 
-def stretch_diffeo(dim: int, strength: float = 0.3) -> Diffeo:
-    """Componentwise t -> t + s*t*(1-t) on [0,1]^dim.
+def stretch_diffeo(dim: int) -> Diffeo:
+    """Componentwise t -> t + s*t*(1-t), s = 0.3, on [0,1]^dim.
 
     Fixes the walls {0} and {1} of every axis but is nonlinear across
     each face, so it breaks affine collar compatibility on junction
     faces (unlike a shear, which is the identity there).  The inverse is
-    the closed-form root of the per-coordinate quadratic.
+    the closed-form root of the per-coordinate quadratic.  Being
+    componentwise, the map does not read ``dim``.
     """
-    s = float(strength)
-    if not 0 < s < 1:
-        raise InputError("stretch strength must lie in (0, 1)")
+    s = 0.3
 
     def fwd(w):
         w = np.asarray(w, dtype=float)
@@ -588,11 +587,12 @@ def with_target_diffeo(
 
 
 def with_flipped_embedding(
-    family: StratifiedFamily, triple: tuple[str, str, str], axis: int = 0
+    family: StratifiedFamily, triple: tuple[str, str, str]
 ) -> StratifiedFamily:
-    """Flip one left-factor axis of one embedding (a mutation for tests)."""
+    """Flip the first left-factor axis of one embedding (a mutation for
+    tests)."""
     embeddings = dict(family.embeddings)
-    embeddings[triple] = replace(family.embedding(*triple), flip_axes=(axis,))
+    embeddings[triple] = replace(family.embedding(*triple), flip_axes=(0,))
     return StratifiedFamily(
         family.poset, family.spaces, family.strata, embeddings,
         name=family.name + "+flip",

@@ -188,22 +188,21 @@ class MorseSystem:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def tilted_torus(
-    tilt: float = 0.1, swirl: float = 0.7, big_radius: float = 2.0,
-    small_radius: float = 1.0,
-) -> MorseSystem:
-    """Height-like function on an embedded torus, tilted generically.
+def tilted_torus(tilt: float = 0.1) -> MorseSystem:
+    """Height-like function on an embedded torus (radii 2 and 1),
+    tilted generically.
 
     Chart (theta, phi), both 2*pi-periodic; theta runs around the tube.
-    The linear function is along a direction tilted off the symmetry
-    axis so that no saddle-to-saddle flow line survives.
+    The linear function is along a direction tilted by ``tilt`` off the
+    symmetry axis, swirled by 0.7 about it, so that no saddle-to-saddle
+    flow line survives.
     """
-    R, r = big_radius, small_radius
+    R, r = 2.0, 1.0
     # Python floats: numpy scalars would cost more per operation
     e = (
         math.cos(tilt),
-        math.sin(tilt) * math.cos(swirl),
-        math.sin(tilt) * math.sin(swirl),
+        math.sin(tilt) * math.cos(0.7),
+        math.sin(tilt) * math.sin(0.7),
     )
 
     def embed(U):
@@ -264,10 +263,10 @@ def interval_well() -> MorseSystem:
     )
 
 
-def double_system(weight: float = 1.3) -> MorseSystem:
+def double_system() -> MorseSystem:
     """Two independent one-dimensional cubic factors on a box.
 
-    f(x, y) = h(x) + weight * h(y) with h(t) = t^3/3 - t, so the flow
+    f(x, y) = h(x) + 1.3 * h(y) with h(t) = t^3/3 - t, so the flow
     is a product of the factor flows; used to check that gluing factors
     through a product system matches gluing the product directly.
     """
@@ -278,12 +277,12 @@ def double_system(weight: float = 1.3) -> MorseSystem:
     def grad(u):
         g = u * u
         g -= 1.0
-        g[..., 1] *= weight
+        g[..., 1] *= 1.3
         return g
 
     return MorseSystem(
         "double", 2,
-        lambda u: h(u[..., 0]) + weight * h(u[..., 1]),
+        lambda u: h(u[..., 0]) + 1.3 * h(u[..., 1]),
         grad=grad,
         box=([-2.5, -2.5], [2.5, 2.5]),
     )
@@ -867,7 +866,6 @@ class ModuliAnalysis:
         self.pairs: dict[tuple[str, str], PairData] = {}
         self._sweeps: dict[str, dict] = {}
         self._descents: dict | None = None  # filled by _saddle_descents
-        self._angles: dict | None = None  # filled by check_transversality
         self._compute()
 
     # -- structure -----------------------------------------------------
@@ -1094,6 +1092,13 @@ class ModuliAnalysis:
     def _sweep(self, p) -> dict:
         if p.id in self._sweeps:
             return self._sweeps[p.id]
+        if p.unstable.shape[1] > 2:
+            # a shooting angle turns through one circle of directions,
+            # which on a wider unstable sphere would miss trajectories
+            raise UnsupportedDimensionError(
+                f"cannot sweep from {p.id}: its unstable space has dimension "
+                f"{p.unstable.shape[1]}, and shooting covers at most 2"
+            )
         system = self.system
         crits = self.critical_points
         saddles = [c for c in crits if c.index == p.index - 1 and c.value < p.value]
@@ -1112,7 +1117,7 @@ class ModuliAnalysis:
             for i in range(n)
             if not same[i] or jumps[i] > thresh
         ]
-        if saddles and p.unstable.shape[1] == 2 and all(s.stable.shape[1] == 1 for s in saddles):
+        if saddles and all(s.stable.shape[1] == 1 for s in saddles):
             # a 2-D phase space: the saddles' stable branches give the
             # special angles, and every grid interval whose shots reach
             # a critical point on one side must hold one of them, up to
@@ -1446,7 +1451,7 @@ def _bisection_mids(lo, hi, depth):
 
 
 # ---------------------------------------------------------------------
-# module-level operation wrappers
+# operations on an analysis
 # ---------------------------------------------------------------------
 
 
@@ -1454,87 +1459,60 @@ def analyze(system: MorseSystem, resolution: int = 64) -> ModuliAnalysis:
     return ModuliAnalysis(system, resolution=resolution)
 
 
-def find_trajectories(system, p, q, resolution: int = 64, analysis=None):
-    """Sampled moduli of the pair (p, q).
+def find_trajectories(analysis: ModuliAnalysis, p, q) -> list[Trajectory]:
+    """Sampled moduli of the pair of points with ids p and q in
+    ``analysis``.
 
-    Returns the isolated trajectories for index gap 1, or a sweep of
-    family representatives for index gap 2.
+    Returns the isolated trajectories for index gap 1; for index gap 2,
+    5 family representatives inside each arc, or a closed family's
+    ``analysis.resolution`` grid.
     """
-    analysis = analysis or analyze(system, resolution)
-    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
-    data = analysis.pairs.get((pid, qid))
+    data = analysis.pairs.get((p, q))
     if data is None:
         return []
     if data.dim == 0:
         return list(data.trajectories)
-    pc, qc = analysis.by_id[pid], analysis.by_id[qid]
     if data.circle is not None:
-        n = resolution
-        return analysis._shot_trajectory(
-            pc, qc, np.arange(n) / n * TWO_PI, samples=200
-        )
-    angles = [
-        arc.angle_lo + frac * (arc.angle_hi - arc.angle_lo)
-        for arc in data.arcs
-        for frac in np.linspace(0.15, 0.85, 5)
-    ]
-    return analysis._shot_trajectory(pc, qc, angles, samples=200)
+        n = analysis.resolution
+        angles = np.arange(n) / n * TWO_PI
+    else:
+        angles = [
+            arc.angle_lo + frac * (arc.angle_hi - arc.angle_lo)
+            for arc in data.arcs
+            for frac in np.linspace(0.15, 0.85, 5)
+        ]
+    return analysis._shot_trajectory(
+        analysis.by_id[p], analysis.by_id[q], angles, samples=200
+    )
 
 
-def detect_broken(system, p, q, analysis=None):
-    """Boundary data of a one-dimensional moduli space: per-arc ends with
-    matched broken pairs and their Hausdorff residuals."""
-    analysis = analysis or analyze(system)
-    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
-    data = analysis.pairs.get((pid, qid))
-    if data is None or data.dim != 1:
-        raise InputError(f"({pid},{qid}) has no one-dimensional moduli")
-    return data
+def check_transversality(analysis: ModuliAnalysis) -> dict:
+    """Heuristic transversality reports of every pair of ``analysis``,
+    keyed by pair.
 
-
-def numerical_glue(system, gamma1, gamma2, lam, analysis) -> Trajectory:
-    """``analysis.glue``: gamma1 and gamma2 must be trajectories of
-    ``analysis``, the analysis of ``system``."""
-    return analysis.glue(gamma1, gamma2, lam)
-
-
-def export_family(system, resolution: int = 64, analysis=None) -> StratifiedFamily:
-    analysis = analysis or analyze(system, resolution)
-    return analysis.to_family()
-
-
-def check_transversality(system, p, q, analysis=None) -> dict:
-    """Heuristic transversality report for one pair.
-
-    Propagates the unstable frame of the source along each isolated
-    trajectory with the linearized flow and measures its minimal
-    principal angle against the stable space of the target; for pairs
-    with no trajectory, reports whether absence is expected.  The first
-    call on an analysis transports the frames of every isolated pair
-    (``_frame_angles``) and caches the angles there.
+    Each report gives the pair's expected moduli dimension (the index
+    gap minus 1) and the observed one.  An isolated pair's report also
+    gives the minimal principal angle, over its trajectories, between
+    the source's unstable frame propagated along the trajectory by the
+    linearized flow and the stable space of the target (one
+    ``_frame_angles`` call for every pair), and whether it exceeds 1e-3.
     """
-    analysis = analysis or analyze(system)
-    pid, qid = (x if isinstance(x, str) else x.id for x in (p, q))
-    pc, qc = analysis.by_id[pid], analysis.by_id[qid]
-    expected_dim = pc.index - qc.index - 1
-    data = analysis.pairs.get((pid, qid))
-    observed_dim = -1 if data is None else data.dim
-    report = {
-        "pair": (pid, qid),
-        "expected_dim": expected_dim,
-        "observed_dim": observed_dim,
-        "dimension_match": observed_dim == expected_dim
-        or (expected_dim < 0 and observed_dim == -1),
-        "min_angle": None,
-    }
-    if data is None or data.dim != 0:
-        return report
-    if analysis._angles is None:
-        analysis._angles = _frame_angles(analysis)
-    angles = analysis._angles[(pid, qid)]
-    report["min_angle"] = min(angles) if angles else None
-    report["transversal"] = report["min_angle"] is None or report["min_angle"] > 1e-3
-    return report
+    angles = _frame_angles(analysis)
+    reports = {}
+    for (pid, qid), data in sorted(analysis.pairs.items()):
+        expected_dim = analysis.by_id[pid].index - analysis.by_id[qid].index - 1
+        report = {
+            "pair": (pid, qid),
+            "expected_dim": expected_dim,
+            "observed_dim": data.dim,
+            "dimension_match": data.dim == expected_dim,
+            "min_angle": None,
+        }
+        if data.dim == 0:
+            report["min_angle"] = min(angles[(pid, qid)])
+            report["transversal"] = report["min_angle"] > 1e-3
+        reports[(pid, qid)] = report
+    return reports
 
 
 def _frame_angles(analysis) -> dict:

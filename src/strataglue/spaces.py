@@ -341,8 +341,9 @@ def box_space(sides, active="all", name="") -> CorneredSpace:
     return CorneredSpace([piece], name=name)
 
 
-def interval_space(length: float = 1.0, name="interval") -> CorneredSpace:
-    return box_space([length], active="all", name=name)
+def interval_space() -> CorneredSpace:
+    """The unit interval, both ends walls."""
+    return box_space([1.0], active="all", name="interval")
 
 
 def point_space(components: int = 1, name="points") -> CorneredSpace:

@@ -177,11 +177,17 @@ def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
         ["verify", "--family", "cube2", "--tol", "inf"],
         ["verify", "--family", "cube2", "--samples", "0"],
         ["verify", "--family", "cube2", "--samples", "-5"],
+        ["verify", "--family", "cube2", "--epsilon-floor", "nan"],
+        ["verify", "--family", "cube2", "--epsilon-floor", "-1"],
+        ["verify", "--family", "cube2", "--epsilon-floor", "0"],
+        ["verify", "--family", "cube2", "--epsilon-floor", "inf"],
+        ["verify", "--family", "cube2", "--seed", "-1"],
         ["morse", "--system", "sphere", "--resolution", "0"],
         ["morse", "--system", "sphere", "--resolution", "-3"],
     ],
     ids=["tol-minus-1", "tol-nan", "tol-inf", "samples-0", "samples-minus-5",
-         "resolution-0", "resolution-minus-3"],
+         "epsilon-floor-nan", "epsilon-floor-minus-1", "epsilon-floor-0",
+         "epsilon-floor-inf", "seed-minus-1", "resolution-0", "resolution-minus-3"],
 )
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -368,6 +374,21 @@ def test_morse_rejects_bad_expression(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_morse_refuses_a_source_with_a_3d_unstable_space(tmp_path, capsys):
+    # M(c0,c1) is the flow line on the z-axis, but the angles of a sweep
+    # turn through one circle of the 2-sphere of directions off c0
+    path = tmp_path / "index3.json"
+    path.write_text(json.dumps({"morse_system": {
+        "f": "-(x*x) - y*y - (z**3/3 - z)", "dim": 3,
+        "box": [[-2, 2], [-2, 2], [-2.5, 2.5]],
+    }}))
+    assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "c0" in err and "dimension 3" in err
+    assert not (tmp_path / "morse_report.json").exists()
+
+
 def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     # malformed JSON, then well-formed JSON whose top level is not an object
@@ -407,12 +428,12 @@ def test_star_import_surface():
         "check_associativity", "check_compat_concat", "check_compat_one_pair",
         "check_stratum_condition", "circle_space", "CollarAtlas", "concat_chains",
         "concat_params", "CorneredSpace", "CriticalPoint", "CriticalPoset",
-        "cube_family", "detect_broken", "Diffeo", "double_system",
-        "enumerate_chains", "EpsilonUnderflowError", "export_family", "extend",
+        "cube_family", "Diffeo", "double_system",
+        "enumerate_chains", "EpsilonUnderflowError", "extend",
         "Face", "find_critical_points", "find_trajectories", "from_morse", "glue",
         "glue_differential", "glue_pair", "GlueParam", "InputError",
         "integrate_flow", "interval_space", "is_chain", "is_subchain",
-        "load_family", "mask", "ModuliAnalysis", "MorseSystem", "numerical_glue",
+        "load_family", "mask", "ModuliAnalysis", "MorseSystem",
         "pair_length", "point_space", "RangeError", "restrict", "round_sphere",
         "save_family", "shear_diffeo", "single_space_collars", "StratifiedFamily",
         "stretch_diffeo", "system_from_expression", "tilted_torus",
@@ -476,7 +497,7 @@ assert main(["verify", "--family", "cube3", "--out", out]) == 0
 analysis = analyze(tilted_torus())
 save_family(analysis.to_family(), out + "/torus.json")
 assert main(["verify", "--family", out + "/torus.json", "--out", out]) == 0
-check_transversality(analysis.system, "c0", "c1", analysis=analysis)
+check_transversality(analysis)
 assert main(["generate", "well", "--out", out + "/"]) == 0
 assert main(["morse", "--system", "well", "--out", out]) == 0
 print(sorted(name for name in sys.modules if name.startswith("scipy")))

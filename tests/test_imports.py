@@ -1,5 +1,5 @@
 """Every top-level import of the library and the tests is used, and
-every defaulted parameter of a private library function is passed."""
+every defaulted parameter of a library function is passed."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "strataglue").glob("*.py"))
 MODULES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
+# everything that calls the library: read, never run or written
+CALLERS = sorted(
+    [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+)
 
 
 def _unused_imports(source: str, package: bool = False) -> list[str]:
@@ -50,9 +54,9 @@ def test_unused_import_is_reported():
 
 
 def _unpassed_settings(library: list[str], callers: list[str]) -> list[str]:
-    """``name(param)`` for each defaulted parameter of a private
-    (single-underscore) function or method in the ``library`` sources
-    that no call of that name in the ``callers`` sources passes, by
+    """``name(param)`` for each defaulted parameter of a function or
+    method (dunders aside) in the ``library`` sources that no call of
+    that name in the ``callers`` sources passes, by
     keyword or by position.  A method's positions start after ``self``;
     a call with ``*args`` or ``**kwargs`` passes everything it could."""
     calls = {}
@@ -68,9 +72,7 @@ def _unpassed_settings(library: list[str], callers: list[str]) -> list[str]:
             id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
         }
         for f in ast.walk(tree):
-            if not isinstance(f, ast.FunctionDef) or not f.name.startswith("_") or (
-                f.name.startswith("__")
-            ):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
                 continue
             params = [a.arg for a in f.args.posonlyargs + f.args.args]
             if id(f) in methods and not any(
@@ -95,7 +97,7 @@ def _unpassed_settings(library: list[str], callers: list[str]) -> list[str]:
 
 
 def test_every_private_setting_is_passed():
-    sources = [path.read_text() for path in MODULES]
+    sources = [path.read_text() for path in CALLERS]
     assert _unpassed_settings([path.read_text() for path in LIBRARY], sources) == []
 
 
@@ -107,6 +109,6 @@ def test_unpassed_setting_is_reported():
         "def g(e=1):\n    pass\n"
     )
     callers = "_f(0, 5)\n_f(0, d=4)\nk._m(1)\n"
-    assert _unpassed_settings([library], [library, callers]) == ["_f(c)", "_m(y)"]
+    assert _unpassed_settings([library], [library, callers]) == ["_f(c)", "g(e)", "_m(y)"]
     # a starred call could pass any of them
-    assert _unpassed_settings([library], ["_f(*a)\nk._m(**kw)\n"]) == []
+    assert _unpassed_settings([library], ["_f(*a)\nk._m(**kw)\n"]) == ["g(e)"]

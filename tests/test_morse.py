@@ -14,7 +14,6 @@ from strataglue import (
     MorseSystem,
     RangeError,
     analyze,
-    detect_broken,
     double_system,
     find_critical_points,
     find_trajectories,
@@ -165,7 +164,7 @@ def test_moduli_dimension_matches_index_gap(torus_analysis):
 
 
 def test_torus_arcs_have_matched_ends(torus_analysis):
-    data = detect_broken(tilted_torus(), "c0", "c3", analysis=torus_analysis)
+    data = torus_analysis.pairs[("c0", "c3")]
     assert data.dim == 1
     assert data.circle is None
     seen = set()
@@ -730,12 +729,11 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_find_trajectories_wrapper(torus_analysis):
-    system = torus_analysis.system
-    trajs = find_trajectories(system, "c1", "c3", analysis=torus_analysis)
+    trajs = find_trajectories(torus_analysis, "c1", "c3")
     assert len(trajs) == 2
-    reps = find_trajectories(system, "c0", "c3", analysis=torus_analysis)
+    reps = find_trajectories(torus_analysis, "c0", "c3")
     assert len(reps) == 5 * len(torus_analysis.pairs[("c0", "c3")].arcs)
-    assert find_trajectories(system, "c3", "c0", analysis=torus_analysis) == []
+    assert find_trajectories(torus_analysis, "c3", "c0") == []
 
 
 def test_glue_rejects_bad_parameters(torus_analysis):
@@ -840,9 +838,7 @@ _TRANSVERSALITY = {
 
 @pytest.mark.parametrize("name", sorted(_TRANSVERSALITY))
 def test_transversality_reports_pinned(name, request, monkeypatch):
-    # a copy with no cached angles, so the check transports the frames
-    analysis = copy.copy(request.getfixturevalue(name))
-    analysis._angles = None
+    analysis = request.getfixturevalue(name)
 
     def no_solve_ivp(*args, **kwargs):
         raise AssertionError("check_transversality called solve_ivp")
@@ -850,8 +846,9 @@ def test_transversality_reports_pinned(name, request, monkeypatch):
     monkeypatch.setattr(morse, "solve_ivp", no_solve_ivp)
     pinned = _TRANSVERSALITY[name]
     assert sorted(analysis.pairs) == sorted(pinned)
+    reports = morse.check_transversality(analysis)
     for (p, q), (expected_dim, observed_dim, angle) in pinned.items():
-        report = morse.check_transversality(analysis.system, p, q, analysis=analysis)
+        report = reports[(p, q)]
         assert report["expected_dim"] == expected_dim
         assert report["observed_dim"] == observed_dim
         assert report["dimension_match"]
@@ -861,7 +858,6 @@ def test_transversality_reports_pinned(name, request, monkeypatch):
         else:
             assert abs(report["min_angle"] - angle) <= 1e-7
             assert report["transversal"] is True
-    assert analysis._angles is not None
 
 
 def test_one_linearization_per_critical_point(monkeypatch):
@@ -875,8 +871,7 @@ def test_one_linearization_per_critical_point(monkeypatch):
 
     monkeypatch.setattr(morse, "_linearization", counted)
     analysis = analyze(tilted_torus())
-    for p, q in sorted(analysis.pairs):
-        morse.check_transversality(analysis.system, p, q, analysis=analysis)
+    morse.check_transversality(analysis)
     assert len(analysis.critical_points) == 4
     assert len(calls) == 4
 
