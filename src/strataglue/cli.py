@@ -10,9 +10,10 @@ Three subcommands:
   critical points, trajectory counts and moduli structure, and
   optionally export the result as a family file.
 
-Exit codes: 0 all checks pass, 1 identity failure, 2 input error,
-3 numerical abort (a collar width underflow, or a sweep grid interval
-that holds no separatrix angle).
+Exit codes: 0 all checks pass, 1 identity failure, 2 input error (bad
+input, or a path that cannot be read or written), 3 numerical abort (a
+collar width underflow, or a sweep grid interval that holds no
+separatrix angle).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _load_system(source: str):
         raise InputError(f"system source {source!r}: no such file or built-in")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON or a UTF-8 decoding error
         raise InputError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{source}: the top-level JSON value is not an object")
@@ -376,16 +377,17 @@ def cmd_morse(args) -> int:
             residual = max(e.hausdorff for a in data.arcs for e in a.ends)
         doc["pairs"][f"{p}|{q}"] = detail
         trep = transversality[(p, q)]
+        transversal = trep.get("transversal", True)
         doc["transversality"].append(
             {
                 "pair": [p, q],
                 "expected_dim": trep["expected_dim"],
                 "observed_dim": trep["observed_dim"],
                 "min_angle": trep["min_angle"],
-                "passed": bool(trep["dimension_match"]),
+                "passed": transversal,
             }
         )
-        passed = trep["dimension_match"] and residual < 1e-2
+        passed = transversal and residual < 1e-2
         ok = ok and passed
         rows.append(
             {
@@ -466,7 +468,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # an unreadable or unwritable path is bad input too
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

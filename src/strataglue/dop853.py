@@ -203,41 +203,17 @@ def _dense(fun, y_old, y_new, K, h):
     return np.stack(F, axis=1)
 
 
-class Dop853Path:
-    """Dense output of one integrated row of a ``Dop853Rows`` batch.
-
-    ``t`` holds the start, every step end and the final time (an event
-    root, when a terminal event stopped the row).  Calling the path at
-    a time gives a (dim,) state, at an array of m times an (m, dim)
-    array; it evaluates through its batch.
-    ``event`` is the index of the terminal event that stopped the row,
-    or None; ``batch`` and ``row`` name the row in its ``Dop853Rows``.
-    """
-
-    def __init__(self, batch, row):
-        a, b = batch._start[row:row + 2]
-        self.batch, self.row = batch, row
-        self.event = batch.event[row]
-        self._t_old, self._h = (part[a:b] for part in batch._steps[:2])
-
-    @property
-    def t(self):
-        return np.append(self._t_old, self.batch.t_final[self.row])
-
-    def __call__(self, t):
-        return self.batch(np.asarray(t, dtype=float)[None], [self.row])[0]
-
-
 class Dop853Rows:
     """Dense output of one ``dop853_rows`` batch, as one step table.
 
     The table holds every accepted step, row by row and each row's in
     time order: its start time, length, start state and interpolant.
-    Indexing or iterating gives each row as a ``Dop853Path`` of views
-    into the table, as a list of paths would; calling the batch
-    evaluates many rows at once.
+    The batch is the one form of its rows: calling it evaluates many
+    rows at once, and ``sample`` reads them on even time grids.
     ``t0`` is the start of every row, ``t_final`` holds each row's final
-    time and ``event`` each row's stopping event.
+    time (an event root, when a terminal event stopped the row) and
+    ``event`` each row's stopping event: the index of the terminal
+    event that stopped it, or None at the end of the span.
     """
 
     def __init__(self, t0, counts, t_old, h, y_old, F, t_final, event):
@@ -251,12 +227,6 @@ class Dop853Rows:
 
     def __len__(self):
         return len(self.event)
-
-    def __getitem__(self, row):
-        rows = range(len(self))[row]  # an int or a slice, as for a list
-        if isinstance(rows, range):
-            return [Dop853Path(self, r) for r in rows]
-        return Dop853Path(self, rows)
 
     def __call__(self, t, rows=None):
         """Row ``rows[i]`` (row i by default) at ``t[i]``: one time per

@@ -42,6 +42,9 @@ _LOOKAHEAD = 3
 _ARC_BATCHES = 2
 # the longest step of a seed's Newton iteration in find_critical_points
 _NEWTON_STEP = 0.5
+# the events of _stop_events: a flow line's ``event`` in its batch is
+# one of these, or None when it ran to the end of its time span
+_CONVERGED, _EXITED = 0, 1
 
 
 def __getattr__(name):
@@ -344,7 +347,12 @@ def parse_expression(text: str, variables):
     def compiled(u):
         u = np.asarray(u, dtype=float)
         names = {name: u[..., variables.index(name)] for name in variables}
-        value = eval(code, {"__builtins__": {}, **names, **_ALLOWED_CALLS})
+        try:
+            value = eval(code, {"__builtins__": {}, **names, **_ALLOWED_CALLS})
+        except (ZeroDivisionError, OverflowError) as exc:
+            # numpy arrays only warn: these come from the Python floats of
+            # a part of the expression made of constants alone
+            raise InputError(f"bad expression {text!r}: {exc}") from exc
         # a constant gives one value per row
         return value if np.ndim(value) == u.ndim - 1 else np.full(u.shape[:-1], value)
 
@@ -358,7 +366,10 @@ def system_from_expression(
     if not 1 <= dim <= 3:
         raise UnsupportedDimensionError(f"custom systems support dim 1..3, got {dim}")
     if box is not None:
-        arr = np.asarray(box, dtype=float)
+        try:
+            arr = np.asarray(box, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"bad box {box!r}: not an array of numbers") from None
         # accept per-axis [lo, hi] rows as well as (lo_vec, hi_vec)
         if arr.shape == (dim, 2) and np.all(arr[:, 0] < arr[:, 1]):
             box = (arr[:, 0], arr[:, 1])
@@ -492,14 +503,6 @@ def _tangent_basis(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-@dataclass
-class FlowSegment:
-    times: np.ndarray
-    states: np.ndarray
-    status: str  # converged | exited | time
-    sol: object  # the dense output: sol(t) is the state at time t
-
-
 def integrate_flow(
     system: MorseSystem,
     x,
@@ -507,39 +510,27 @@ def integrate_flow(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     stop_speed: float = 1e-7,
-    samples=400,
 ):
-    """Integrate the negative-gradient flow from x: one ``FlowSegment``
-    from a (dim,) start, or a list from the rows of an (n, dim) block,
-    as one batch, each bit for bit its one-row run.  ``samples`` is
-    one count for every row or one count per row; the rows of each
-    count are sampled by one evaluation of the batch.
+    """Integrate the negative-gradient flow from x, a (dim,) start or
+    the rows of an (n, dim) block, as one ``dop853_rows`` batch, and
+    return its ``Dop853Rows``; each row is bit for bit its one-row run.
 
-    Stops when the speed drops below ``stop_speed`` (converged to a
-    critical point), when the path leaves the bounding box (exited),
-    or at the end of the time span.
+    A row stops when its speed drops below ``stop_speed`` (its event is
+    ``_CONVERGED``: it reached a critical point), when it leaves the
+    bounding box (``_EXITED``), or at the end of the time span (None).
     """
     if t_span[1] <= t_span[0]:
         raise InputError(f"time span {t_span} does not run forward")
-    X = np.asarray(x, dtype=float)
-    paths = dop853_rows(
-        system.rhs, np.reshape(X, (-1, system.dim)), t_span, rtol, atol,
-        _stop_events(system, stop_speed),
+    return dop853_rows(
+        system.rhs, np.reshape(np.asarray(x, dtype=float), (-1, system.dim)),
+        t_span, rtol, atol, _stop_events(system, stop_speed),
     )
-    counts = np.broadcast_to(samples, len(paths))
-    out = [None] * len(paths)
-    for m in np.unique(counts):
-        rows = np.flatnonzero(counts == m)
-        for r, ts, states in zip(rows, *paths.sample(m, rows)):
-            event = paths.event[r]
-            status = "time" if event is None else ("converged", "exited")[event]
-            out[r] = FlowSegment(ts, states, status, paths[r])
-    return out[0] if X.ndim == 1 else out
 
 
 def _stop_events(system, stop_speed):
     """The ``dop853_rows`` events of a flow line: its speed falls below
-    ``stop_speed`` (converged), or it leaves the box (exited)."""
+    ``stop_speed`` (event ``_CONVERGED``), or it leaves the box
+    (``_EXITED``)."""
     events = [lambda Y, F: _norm(F) - stop_speed]
     if system.box is not None:
         lo, hi = system.box
@@ -549,30 +540,27 @@ def _stop_events(system, stop_speed):
     return events
 
 
-def _level_crossings(system, paths, lo, hi, levels, fallback) -> np.ndarray:
-    """Row i: where f crosses ``levels[i]`` along ``paths[i]`` on
-    [lo[i], hi[i]]; one ``brentq_rows`` call (xtol 1e-12), bit for bit
-    scipy's ``brentq``.  A row whose f - level has one nonzero sign,
-    or a NaN, at both ends keeps ``fallback[i]`` (``brentq`` raised).
-    The paths are rows of one batch, evaluated together."""
+def _level_crossings(system, paths, rows, lo, hi, levels, fallback) -> np.ndarray:
+    """Crossing i: where f crosses ``levels[i]`` along row ``rows[i]``
+    of the batch ``paths`` on [lo[i], hi[i]]; one ``brentq_rows`` call
+    (xtol 1e-12), bit for bit scipy's ``brentq``.  A crossing whose
+    f - level has one nonzero sign, or a NaN, at both ends keeps
+    ``fallback[i]`` (``brentq`` raised)."""
     out = np.array(fallback, dtype=float).reshape(-1, system.dim)
     if not len(out):
         return out
     lo, hi, levels = (np.asarray(v, dtype=float) for v in (lo, hi, levels))
-    batch, index = paths[0].batch, np.array([path.row for path in paths])
+    rows = np.asarray(rows, dtype=int)
 
-    def at(t, rows):
-        return batch(t, index[rows])
+    def gap(t, i):
+        return system.f(paths(t, rows[i])) - levels[i]
 
-    def gap(t, rows):
-        return system.f(at(t, rows)) - levels[rows]
-
-    rows = np.arange(len(out))
-    f_lo, f_hi = gap(lo, rows), gap(hi, rows)
+    i = np.arange(len(out))
+    f_lo, f_hi = gap(lo, i), gap(hi, i)
     bracket = (f_lo == 0) | (f_hi == 0) | (np.signbit(f_lo) != np.signbit(f_hi))
-    rows = rows[bracket & ~np.isnan(f_lo) & ~np.isnan(f_hi)]
-    t = brentq_rows(lambda t, i: gap(t, rows[i]), lo[rows], hi[rows], xtol=1e-12)
-    out[rows] = at(t, rows)
+    i = i[bracket & ~np.isnan(f_lo) & ~np.isnan(f_hi)]
+    t = brentq_rows(lambda t, j: gap(t, i[j]), lo[i], hi[i], xtol=1e-12)
+    out[i] = paths(t, rows[i])
     return out
 
 
@@ -634,30 +622,31 @@ def _period_shifts(system) -> np.ndarray:
 
 
 def _make_trajectories(
-    system, source: CriticalPointData, targets, segs, angles, prefixes=None,
-    stops=None,
+    system, source: CriticalPointData, targets, paths, rows, times, states,
+    angles, prefixes=None, stops=None,
 ) -> list[Trajectory]:
-    """Trajectory i from ``segs[i]``, shot at ``angles[i]`` from
+    """Trajectory i from row ``rows[i]`` of the batch ``paths``, sampled
+    at ``times[i]`` as ``states[i]``, shot at ``angles[i]`` from
     ``source`` to ``targets[i]``.
 
-    ``stops[i]``, if given, ends segment i (its closest approach to a
-    saddle target); row i of the prefix arrays (states, times) goes
-    before segment i.  Each path is prepended/appended with the exact
-    endpoint locations, and anchored where f crosses the pair's mid
-    level, by one ``_level_crossings`` call.
+    ``stops[i]``, if given, ends sample row i (its closest approach to
+    a saddle target); row i of the prefix arrays (states, times) goes
+    before it.  Each path is prepended/appended with the exact
+    endpoint locations, and anchored on its own batch row where f
+    crosses the pair's mid level, by one ``_level_crossings`` call.
     """
     mids = [0.5 * (source.value + target.value) for target in targets]
     cut, lo, hi, fallback = [], [], [], []
-    for i, (seg, mid) in enumerate(zip(segs, mids)):
+    for i, mid in enumerate(mids):
         end = None if stops is None else stops[i] + 1
-        states, times = seg.states[:end], seg.times[:end]
-        k = int(np.searchsorted(-system.f(states), -mid))
-        k = min(max(k, 1), len(states) - 1)
-        cut.append((states, times))
-        lo.append(times[k - 1])
-        hi.append(times[k])
-        fallback.append(states[k])
-    anchors = _level_crossings(system, [seg.sol for seg in segs], lo, hi, mids, fallback)
+        S, T = states[i][:end], times[i][:end]
+        k = int(np.searchsorted(-system.f(S), -mid))
+        k = min(max(k, 1), len(S) - 1)
+        cut.append((S, T))
+        lo.append(T[k - 1])
+        hi.append(T[k])
+        fallback.append(S[k])
+    anchors = _level_crossings(system, paths, rows, lo, hi, mids, fallback)
     out = []
     for i, (states, times) in enumerate(cut):
         if prefixes is not None:
@@ -919,14 +908,15 @@ class ModuliAnalysis:
                 _shoot_start(system, c, angle)
                 for c in saddles for angle in angles
             ]
-            segs = integrate_flow(system, X)
-            near, dist = _nearest_crits(system, crits, [seg.states[-1] for seg in segs])
-            landed = [seg.status == "converged" and d <= 1e-4 for seg, d in zip(segs, dist)]
+            paths = integrate_flow(system, X)
+            T, S = paths.sample(400)
+            near, dist = _nearest_crits(system, crits, S[:, -1])
+            landed = [e == _CONVERGED and d <= 1e-4 for e, d in zip(paths.event, dist)]
             for k, c in enumerate(saddles):
                 hits = [i for i in (2 * k, 2 * k + 1) if landed[i]]
                 for traj in _make_trajectories(
-                    system, c, [crits[near[i]] for i in hits], [segs[i] for i in hits],
-                    [angles[i % 2] for i in hits],
+                    system, c, [crits[near[i]] for i in hits], paths, hits, T[hits],
+                    S[hits], [angles[i % 2] for i in hits],
                 ):
                     self._descents.setdefault((c.id, traj.target), []).append(traj)
         return self._descents.get((p.id, q.id), [])
@@ -1030,7 +1020,7 @@ class ModuliAnalysis:
         near, dist = _nearest_crits(system, self.critical_points, ends)
         rows = [r for r in range(len(X0)) if self.critical_points[near[r]] is p and dist[r] <= 1e-4]
         X = _level_crossings(
-            system, [paths[r] for r in rows], np.zeros(len(rows)), paths.t_final[rows],
+            system, paths, rows, np.zeros(len(rows)), paths.t_final[rows],
             np.full(len(rows), self._launch_level(p)), ends[rows],
         )
         D = X - p.location
@@ -1053,25 +1043,24 @@ class ModuliAnalysis:
         system = self.system
         level = self._sweep_level(p)
         X = self._launch(p, angles)
-        segs = integrate_flow(system, X, rtol=1e-8, atol=1e-10, samples=200)
-        S = np.array([seg.states for seg in segs])
-        T = np.array([seg.times for seg in segs])
+        paths = integrate_flow(system, X, rtol=1e-8, atol=1e-10)
+        T, S = paths.sample(200)
         near, dist = _nearest_crits(system, self.critical_points, S[:, -1])
         # the level crossing sits between samples k - 1 and k
         ks = np.array([np.searchsorted(-fs, -level) for fs in system.f(S)])
         landed = np.array([
-            seg.status == "converged" and d <= 1e-3 for seg, d in zip(segs, dist)
+            e == _CONVERGED and d <= 1e-3 for e, d in zip(paths.event, dist)
         ])
         tags = [
             f"crit:{self.critical_points[i].id}" if hit
-            else "exit" if seg.status == "exited" else "lost"
-            for seg, i, hit in zip(segs, near, landed)
+            else "exit" if e == _EXITED else "lost"
+            for e, i, hit in zip(paths.event, near, landed)
         ]
         rows = np.flatnonzero(landed & (ks > 0) & (ks < S.shape[1]))
         P = S[:, -1].copy()
         k = ks[rows]
         P[rows] = _level_crossings(
-            system, [segs[r].sol for r in rows], T[rows, k - 1], T[rows, k],
+            system, paths, rows, T[rows, k - 1], T[rows, k],
             np.full(len(rows), level), S[rows, k],
         )
         return list(zip(tags, system.embed(P)))
@@ -1149,21 +1138,25 @@ class ModuliAnalysis:
             seen_angles.append(wrapped)
             distinct.append(angle)
         X = self._launch(p, distinct)
-        hugs = []
+        special = []
         if saddles:
             # which saddle does each limiting shot hug, and where closest?
-            S = np.array([system.embed([s.location])[0] for s in saddles])[:, None]
-            for angle, x, seg in zip(distinct, X, integrate_flow(system, X, samples=600)):
-                D = np.linalg.norm(system.embed(seg.states) - S, axis=-1)
+            E = np.array([system.embed([s.location])[0] for s in saddles])[:, None]
+            paths = integrate_flow(system, X)
+            T, S = paths.sample(600)
+            rows, hugged, stops = [], [], []
+            for r, states in enumerate(S):
+                D = np.linalg.norm(system.embed(states) - E, axis=-1)
                 j, stop = divmod(int(np.argmin(D)), D.shape[1])
                 if D[j, stop] <= 1e-3:
-                    hugs.append((angle, x, seg, saddles[j], stop))
-        prefixes = self._back_prefix(p, [h[1] for h in hugs])
-        special = _make_trajectories(
-            system, p, [h[3] for h in hugs], [h[2] for h in hugs],
-            [h[0] for h in hugs], prefixes, stops=[h[4] for h in hugs],
-        )
-        special.sort(key=lambda s: s.angle % TWO_PI)
+                    rows.append(r)
+                    hugged.append(saddles[j])
+                    stops.append(stop)
+            special = _make_trajectories(
+                system, p, hugged, paths, rows, T[rows], S[rows],
+                [distinct[r] for r in rows], self._back_prefix(p, X[rows]), stops,
+            )
+            special.sort(key=lambda s: s.angle % TWO_PI)
         result = {
             "angles": angles, "marks": marks,
             "candidates": candidates, "special": special,
@@ -1226,9 +1219,10 @@ class ModuliAnalysis:
         # prefixes first: their dense outputs are gone once sampled, so
         # they never sit in memory beside the forward ones
         prefixes = self._back_prefix(p, X)
-        segs = integrate_flow(self.system, X, samples=samples)
+        paths = integrate_flow(self.system, X)
         return _make_trajectories(
-            self.system, p, [q] * len(segs), segs, angles, prefixes
+            self.system, p, [q] * len(X), paths, range(len(X)),
+            *paths.sample(samples), angles, prefixes,
         )
 
     def _one_dim_moduli(self, p, q) -> PairData | None:
@@ -1305,7 +1299,13 @@ class ModuliAnalysis:
             samples += [500] * 4 + [300] * (2 * len(offsets))
         X = self._launch(p, angles)
         # forward first: its dense output is the peak, and no prefix waits
-        states = [seg.states for seg in integrate_flow(self.system, X, samples=samples)]
+        paths = integrate_flow(self.system, X)
+        samples, states = np.array(samples), [None] * len(X)
+        for m in (500, 300):
+            rows = np.flatnonzero(samples == m)
+            for r, S in zip(rows, paths.sample(m, rows)[1]):
+                states[r] = S
+        del paths  # sampled: the dense output goes before the prefix batch
         shots = list(zip(self._back_prefix(p, X)[0], states))
         per_arc = len(shots) // len(arcs)
         return [shots[i:i + per_arc] for i in range(0, len(shots), per_arc)]
@@ -1505,7 +1505,6 @@ def check_transversality(analysis: ModuliAnalysis) -> dict:
             "pair": (pid, qid),
             "expected_dim": expected_dim,
             "observed_dim": data.dim,
-            "dimension_match": data.dim == expected_dim,
             "min_angle": None,
         }
         if data.dim == 0:

@@ -21,7 +21,7 @@ from strataglue import (
     with_flipped_embedding,
     with_target_diffeo,
 )
-from strataglue import cli
+from strataglue import cli, morse
 from strataglue.cli import CSV_COLUMNS, main
 from strataglue.errors import NumericalError
 
@@ -405,8 +405,12 @@ def test_morse_system_file_with_invalid_json_exits_2(tmp_path, capsys):
         {"f": "x*x + y*y", "dim": 2, "period": 5},
         {"f": 3, "dim": 2},
         {"f": "x*x + y*y", "dim": 2.5, "box": [[-1, 1], [-1, 1]]},
+        {"f": "x*x + y*y", "dim": 2, "box": [[-1, "x"], [-1, 1]]},
+        {"f": "1/(1-1)*x + x*x", "dim": 1},
+        {"f": "10**400*x", "dim": 1},
     ],
-    ids=["word-dim", "scalar-period", "numeric-f", "fractional-dim"],
+    ids=["word-dim", "scalar-period", "numeric-f", "fractional-dim", "word-in-box",
+         "constant-divides-by-zero", "constant-overflows"],
 )
 def test_morse_malformed_system_section_exits_2(tmp_path, capsys, section):
     path = tmp_path / "sys.json"
@@ -418,6 +422,51 @@ def test_morse_malformed_system_section_exits_2(tmp_path, capsys, section):
     assert code == 2
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "morse_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "{dir}", "--out", "{out}"],
+        ["morse", "--system", "{dir}", "--out", "{out}"],
+        ["morse", "--system", "{latin1}", "--out", "{out}"],
+        ["generate", "cube", "3", "--out", "{file}/x"],
+    ],
+    ids=["verify-directory", "morse-directory", "morse-not-utf-8", "generate-under-a-file"],
+)
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, argv):
+    paths = {
+        "dir": tmp_path / "dir", "out": tmp_path / "out",
+        "latin1": tmp_path / "latin1.json", "file": tmp_path / "file",
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    doc = {"name": "caf\u00e9", "morse_system": {"f": "x*x", "dim": 1}}
+    paths["latin1"].write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+def test_morse_fails_a_pair_whose_frames_are_not_transversal(tmp_path, capsys, monkeypatch):
+    # one trajectory of (c1, c3) on double made nearly tangent: that pair's
+    # transversality row and its table row fail, and morse exits 1
+    frame_angles = morse._frame_angles
+
+    def one_tangency(analysis):
+        angles = frame_angles(analysis)
+        angles[("c1", "c3")][0] = 1e-4
+        return angles
+
+    monkeypatch.setattr(morse, "_frame_angles", one_tangency)
+    assert main(["morse", "--system", "double", "--out", str(tmp_path)]) == 1
+    assert "FAIL c1-c3" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "morse_report.json").read_text())
+    passed = {tuple(row["pair"]): row["passed"] for row in doc["transversality"]}
+    assert passed.pop(("c1", "c3")) is False
+    assert passed and all(passed.values())
+    assert [row["pair"] for row in doc["checks"] if not row["pass"]] == ["c1-c3"]
 
 
 def test_star_import_surface():

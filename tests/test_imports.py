@@ -1,7 +1,10 @@
-"""Every top-level import of the library and the tests is used, and
-every defaulted parameter of a library function is passed."""
+"""Every top-level import of the library and the tests is used, every
+defaulted parameter of a library function is passed, and every library
+function, method and class is named somewhere."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,69 @@ def test_unpassed_setting_is_reported():
     assert _unpassed_settings([library], [library, callers]) == ["_f(c)", "g(e)", "_m(y)"]
     # a starred call could pass any of them
     assert _unpassed_settings([library], ["_f(*a)\nk._m(**kw)\n"]) == ["g(e)"]
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _names_in(node) -> Counter:
+    """How often each name is read in a syntax tree: as a ``Name``, an
+    attribute, an imported name or a word inside a string."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.update(_WORD.findall(n.value))
+    return names
+
+
+def _unnamed_definitions(library: list[str], sources: list[str]) -> list[str]:
+    """Each function, method and class (dunders aside) defined in the
+    ``library`` sources whose name the ``sources``, which hold the
+    library too, read nowhere outside its own definition."""
+    named = Counter()
+    for source in sources:
+        named.update(_names_in(ast.parse(source)))
+    out = []
+    for source in library:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not re.fullmatch("__.*__", name) and named[name] == _names_in(node)[name]:
+                out.append(name)
+    return sorted(out)
+
+
+def test_every_definition_is_named():
+    sources = [path.read_text() for path in CALLERS]
+    assert _unnamed_definitions([path.read_text() for path in LIBRARY], sources) == []
+
+
+def test_unnamed_definition_is_reported():
+    library = (
+        "def used():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class K:\n"
+        "    def method(self):\n        pass\n"
+        "    def probed(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _unread(self):\n        pass\n"
+        "def outer():\n"
+        "    def helper():\n        pass\n"
+        "    return helper()\n"
+    )
+    callers = "from lib import outer\nused()\nk = K()\nk.method()\nprobes = ['K.probed']\n"
+    assert _unnamed_definitions([library], [library, callers]) == [
+        "_dead", "_recursive", "_unread",
+    ]
+    # every reading counts: a name, an attribute, an import or a string
+    assert _unnamed_definitions([library], [library, "_dead\nx._recursive\n'_unread'\n"]) == [
+        "K", "method", "outer", "probed", "used",
+    ]

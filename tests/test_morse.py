@@ -220,14 +220,15 @@ def test_anchor_stable_under_restart(torus_analysis):
         i for i, u in enumerate(traj.states) if system.f(u) < c1.value - 0.05
         and system.f(u) > mid + 0.05
     )
-    seg = integrate_flow(system, traj.states[j], stop_speed=1e-6)
-    fs = np.array([system.f(u) for u in seg.states])
+    paths = integrate_flow(system, traj.states[j], stop_speed=1e-6)
+    times, states = (a[0] for a in paths.sample(400))
+    fs = np.array([system.f(u) for u in states])
     k = int(np.searchsorted(-fs, -mid))
     t_mid = brentq(
-        lambda t: system.f(seg.sol(t)) - mid,
-        seg.times[k - 1], seg.times[k], xtol=1e-12,
+        lambda t: system.f(paths([t])[0]) - mid,
+        times[k - 1], times[k], xtol=1e-12,
     )
-    anchor = seg.sol(t_mid)
+    anchor = paths([t_mid])[0]
     assert system.distance(anchor, traj.anchor) < 1e-6
 
 
@@ -321,6 +322,17 @@ def test_wrap_reduces_every_row(rows, rng):
     assert np.all((wrapped >= 0.0) & (wrapped < 2 * math.pi))
 
 
+# a flow line's stopping event, as _scipy_flow names it
+_STATUS = {morse._CONVERGED: "converged", morse._EXITED: "exited", None: "time"}
+
+
+def _row_steps(batch, r):
+    """Row r of a ``Dop853Rows`` batch from its step table: the step
+    starts then the final time, and the step lengths."""
+    a, b = batch._start[r:r + 2]
+    return np.append(batch._steps[0][a:b], batch.t_final[r]), batch._steps[1][a:b]
+
+
 def _scipy_flow(system, x):
     """integrate_flow's contract, as solve_ivp(DOP853) computes it."""
 
@@ -362,9 +374,10 @@ def _scipy_flow(system, x):
 )
 def test_flow_matches_scipy_dop853(make, x, status):
     system = make()
-    seg = integrate_flow(system, x)
+    paths = integrate_flow(system, x)
+    times, states = (a[0] for a in paths.sample(400))
     want, sol = _scipy_flow(system, x)
-    assert seg.status == want == status
+    assert _STATUS[paths.event[0]] == want == status
     # The stop time is ill-conditioned: near a sink the speed decays
     # like exp(-lambda t), so an ulp of state error moves the 1e-7
     # crossing by about 1e-15 / (lambda |u - c|).  The error estimate
@@ -372,8 +385,8 @@ def test_flow_matches_scipy_dop853(make, x, status):
     # order, so the step sequences part at about 1e-7 relative, and
     # torus stop times differ by up to a few 1e-8 while sampled states
     # agree to about 1e-12.
-    assert abs(seg.times[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
-    assert np.abs(seg.states - sol.sol(seg.times).T).max() < 1e-10
+    assert abs(times[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
+    assert np.abs(states - sol.sol(times).T).max() < 1e-10
 
 
 def test_batched_rows_equal_single_runs():
@@ -385,14 +398,16 @@ def test_batched_rows_equal_single_runs():
     ])
     span = (0.0, 6.0)
     batch = integrate_flow(system, X, span)
-    assert {seg.status for seg in batch} == {"converged", "exited", "time"}
-    assert len({seg.times[-1] for seg in batch}) > 3
-    for x, seg in zip(X, batch):
+    assert {_STATUS[e] for e in batch.event} == {"converged", "exited", "time"}
+    times, states = batch.sample(400)
+    assert len({t[-1] for t in times}) > 3
+    for r, x in enumerate(X):
         one = integrate_flow(system, x, t_span=span)
-        assert one.status == seg.status
-        assert one.sol.t.tobytes() == seg.sol.t.tobytes()
-        assert one.times.tobytes() == seg.times.tobytes()
-        assert one.states.tobytes() == seg.states.tobytes()
+        assert one.event == [batch.event[r]]
+        assert _row_steps(one, 0)[0].tobytes() == _row_steps(batch, r)[0].tobytes()
+        one_times, one_states = one.sample(400)
+        assert one_times[0].tobytes() == times[r].tobytes()
+        assert one_states[0].tobytes() == states[r].tobytes()
 
 
 def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
@@ -404,33 +419,38 @@ def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
     sweep = analysis._sweep(p)
     level = analysis._sweep_level(p)
     X = analysis._launch(p, sweep["angles"])
-    segs = integrate_flow(system, X, rtol=1e-8, atol=1e-10, samples=200)
-    rows = []  # path, lo, hi, level, fallback
-    for seg in segs:
-        k = int(np.searchsorted(-system.f(seg.states), -level))
-        if 0 < k < len(seg.states):
-            rows.append((seg.sol, seg.times[k - 1], seg.times[k], level, seg.states[k]))
+    paths = integrate_flow(system, X, rtol=1e-8, atol=1e-10)
+    times, states = paths.sample(200)
+
+    def at(r, t):
+        return paths([t], [r])[0]
+
+    rows = []  # batch row, lo, hi, level, fallback
+    for r, (T, S) in enumerate(zip(times, states)):
+        k = int(np.searchsorted(-system.f(S), -level))
+        if 0 < k < len(S):
+            rows.append((r, T[k - 1], T[k], level, S[k]))
     assert len(rows) > 40
-    seg = segs[0]
+    T, S = times[0], states[0]
     # f falls along the shot, so both ends are above this level
-    below = system.f(seg.states[-1]) - 1.0
-    rows.append((seg.sol, seg.times[0], seg.times[1], below, seg.states[5]))
-    t = seg.times[3]
-    rows.append((seg.sol, seg.times[2], t, system.f(seg.sol(t)), seg.states[0]))
-    paths, lo, hi, levels, fallback = map(list, zip(*rows))
-    got = morse._level_crossings(system, paths, lo, hi, levels, fallback)
+    below = system.f(S[-1]) - 1.0
+    rows.append((0, T[0], T[1], below, S[5]))
+    t = T[3]
+    rows.append((0, T[2], t, system.f(at(0, t)), S[0]))
+    index, lo, hi, levels, fallback = map(list, zip(*rows))
+    got = morse._level_crossings(system, paths, index, lo, hi, levels, fallback)
     assert got.shape == (len(rows), system.dim)
     fell_back = 0
-    for (path, a, b, value, back), point in zip(rows, got):
+    for (r, a, b, value, back), point in zip(rows, got):
         try:
-            root = brentq(lambda t: system.f(path(t)) - value, a, b, xtol=1e-12)
-            want = path(root)
+            root = brentq(lambda t: system.f(at(r, t)) - value, a, b, xtol=1e-12)
+            want = at(r, root)
         except ValueError:
             fell_back += 1
             want = back
         assert point.tobytes() == want.tobytes()
     assert fell_back == 1
-    assert got[-1].tobytes() == seg.sol(t).tobytes()
+    assert got[-1].tobytes() == at(0, t).tobytes()
     # one brentq_rows call for the launch points and one for the
     # crossings of a whole batch
     calls, brentq_rows = [], morse.brentq_rows
@@ -466,19 +486,21 @@ def test_dop853_rows_two_events_in_one_step():
     ])
     span, rtol, atol = (0.0, 1.5), 1e-10, 1e-12
     paths = dop853_rows(_riccati, Y0, span, rtol, atol, events)
-    assert [path.event for path in paths] == [1, 0, 0, None]
-    for path, y0 in zip(paths[:3], Y0):
+    assert paths.event == [1, 0, 0, None]
+    for r, y0 in enumerate(Y0[:3]):
         # both thresholds are crossed inside the last step
-        step_lo = path._t_old[-1]
-        step_hi = step_lo + path._h[-1]
+        t, h = _row_steps(paths, r)
+        step_lo = t[-2]
+        step_hi = step_lo + h[-1]
         for c in y0[1:]:
             assert step_lo < 2 * math.atan(c / 2) < step_hi
-    for path, y0 in zip(paths, Y0):
-        one = dop853_rows(_riccati, y0[None], span, rtol, atol, events)[0]
-        assert one.event == path.event
-        assert one.t.tobytes() == path.t.tobytes()
-        ts = np.linspace(0.0, path.t[-1], 50)
-        assert one(ts).tobytes() == path(ts).tobytes()
+    for r, y0 in enumerate(Y0):
+        one = dop853_rows(_riccati, y0[None], span, rtol, atol, events)
+        event, t = paths.event[r], _row_steps(paths, r)[0]
+        assert one.event == [event]
+        assert _row_steps(one, 0)[0].tobytes() == t.tobytes()
+        ts = np.linspace(0.0, t[-1], 50)
+        assert one(ts[None]).tobytes() == paths(ts[None], [r]).tobytes()
 
         oracle = []
         for e in range(2):
@@ -491,8 +513,8 @@ def test_dop853_rows_two_events_in_one_step():
             rtol=rtol, atol=atol, events=oracle,
         )
         fired = [e for e in range(2) if sol.t_events[e].size]
-        assert fired == ([] if path.event is None else [path.event])
-        assert abs(path.t[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
+        assert fired == ([] if event is None else [event])
+        assert abs(t[-1] - sol.t[-1]) <= 1e-9 * sol.t[-1]
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -504,26 +526,27 @@ def test_dop853_rows_evaluated_rows_first(chunk, monkeypatch):
     system = double_system()
     X = np.array([[-1.5, 0.3], [0.1, -0.2], [1 + 1e-4, 1 + 2e-4], [0.9, 1.2]])
     span = (0.0, 6.0)
-    batch = integrate_flow(system, X, span)[0].sol.batch
-    own = [integrate_flow(system, x, t_span=span).sol for x in X]
-    steps = [len(path._h) for path in own]
+    batch = integrate_flow(system, X, span)
+    own = [integrate_flow(system, x, t_span=span) for x in X]
+    steps = [len(_row_steps(one, 0)[1]) for one in own]
     assert max(steps) > 3 * min(steps)
-    assert {path.event for path in own} == {None, 0, 1}
+    assert {one.event[0] for one in own} == {None, 0, 1}
     # per row: the start, every step end, the final time (an event root
     # on stopped rows), the span's end, and times just outside the span
     # and just past the row's final time, cycled to one length
     times = [
-        np.concatenate([path.t, [6.0, -0.5, 6.5, path.t[-1] + 1e-3]]) for path in own
+        np.concatenate([_row_steps(one, 0)[0], [6.0, -0.5, 6.5, one.t_final[0] + 1e-3]])
+        for one in own
     ]
     m = max(len(t) for t in times)
     T = np.array([np.resize(t, m) for t in times])
     got = batch(T)
     assert got.shape == (len(X), m, 2)
-    for r, path in enumerate(own):
-        assert batch[r].t.tobytes() == path.t.tobytes()
-        assert got[r].tobytes() == path(T[r]).tobytes()
+    for r, one in enumerate(own):
+        assert _row_steps(batch, r)[0].tobytes() == _row_steps(one, 0)[0].tobytes()
+        assert got[r].tobytes() == one(T[r:r + 1])[0].tobytes()
     for j in range(m):
-        want = np.array([path(T[r, j]) for r, path in enumerate(own)])
+        want = np.array([one(T[r:r + 1, j])[0] for r, one in enumerate(own)])
         assert batch(T[:, j]).tobytes() == want.tobytes()
     rows = [2, 0, 2, 3]
     assert batch(T[rows], rows).tobytes() == got[rows].tobytes()
@@ -531,17 +554,17 @@ def test_dop853_rows_evaluated_rows_first(chunk, monkeypatch):
     # is the end itself (not so by the step sum at 7 and 60 samples)
     for m in (7, 37, 60):
         ts, states = batch.sample(m)
-        for r, path in enumerate(own):
-            assert ts[r].tobytes() == np.linspace(0.0, path.t[-1], m).tobytes()
-            assert states[r].tobytes() == path(ts[r]).tobytes()
+        for r, one in enumerate(own):
+            assert ts[r].tobytes() == np.linspace(0.0, one.t_final[0], m).tobytes()
+            assert states[r].tobytes() == one(ts[r:r + 1])[0].tobytes()
     # a batch of one row, and an empty batch
-    one = own[1].batch
+    one = own[1]
     assert len(one) == 1 and one(T[1:2]).tobytes() == got[1:2].tobytes()
     empty = dop853_rows(system.rhs, np.empty((0, 2)), span, 1e-10, 1e-12, [])
-    assert len(empty) == 0 and list(empty) == []
+    assert len(empty) == 0
     assert empty(np.empty(0)).shape == (0, 2)
     assert [a.shape for a in empty.sample(5)] == [(0, 5), (0, 5, 2)]
-    assert integrate_flow(system, np.empty((0, 2))) == []
+    assert len(integrate_flow(system, np.empty((0, 2)))) == 0
 
 
 def _scalar_launch(analysis, p, angle):
@@ -851,7 +874,6 @@ def test_transversality_reports_pinned(name, request, monkeypatch):
         report = reports[(p, q)]
         assert report["expected_dim"] == expected_dim
         assert report["observed_dim"] == observed_dim
-        assert report["dimension_match"]
         if angle is None:
             assert report["min_angle"] is None
             assert "transversal" not in report
@@ -1321,8 +1343,10 @@ def test_saddle_descents_are_one_batch(torus_analysis, monkeypatch):
     for pair in (("c1", "c3"), ("c2", "c3")):
         p, q = analysis.by_id[pair[0]], analysis.by_id[pair[1]]
         got = analysis._saddle_descents(p, q)
-        segs = integrate_flow(system, [morse._shoot_start(system, p, a) for a in (0.0, math.pi)])
-        want = morse._make_trajectories(system, p, [q, q], segs, (0.0, math.pi))
+        paths = integrate_flow(system, [morse._shoot_start(system, p, a) for a in (0.0, math.pi)])
+        want = morse._make_trajectories(
+            system, p, [q, q], paths, [0, 1], *paths.sample(400), (0.0, math.pi)
+        )
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert a.angle == b.angle
