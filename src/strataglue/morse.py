@@ -12,11 +12,11 @@ Conventions:
 * Systems live on a coordinate chart (optionally periodic, optionally a
   bounding box) or on the unit sphere in ambient coordinates.  The flow
   is ``du/dt = -metric_inv(u) grad f(u)`` (projected for the sphere).
-* Moduli points are normalized against the time-shift action by their
-  anchor: the unique point where f equals the mid-level of the pair.
-* One-dimensional moduli are parametrized by shooting angle; their
-  gluing parameter is arc length measured in the Hausdorff metric on
-  trajectory images, accumulated from the broken boundary point.
+* A moduli point is an unparametrized flow line, held as its embedded
+  image; one-dimensional moduli are parametrized by shooting angle.
+  Their gluing parameter is arc length measured in the Hausdorff
+  metric on trajectory images, accumulated from the broken boundary
+  point.
 """
 
 from __future__ import annotations
@@ -391,19 +391,18 @@ def system_from_expression(
 
 @dataclass
 class CriticalPointData:
-    """``eigenvalues`` are minus those of the flow's linearization, in
-    ascending order: the Hessian's on a Euclidean chart, with the same
-    signs under a metric.  ``index`` and ``morse`` are read from them.
-    ``unstable`` and ``stable`` are orthonormal columns spanning the
-    flow's unstable and stable spaces at the point, from the same
-    linearization (tangent to the sphere on the sphere)."""
+    """``index`` and ``morse`` are read from minus the eigenvalues of
+    the flow's linearization: the Hessian's on a Euclidean chart, with
+    the same signs under a metric.  ``unstable`` and ``stable`` are
+    orthonormal columns spanning the flow's unstable and stable spaces
+    at the point, from the same linearization (tangent to the sphere on
+    the sphere)."""
 
     id: str
     location: np.ndarray
     value: float
     index: int
     gradient_norm: float
-    eigenvalues: np.ndarray
     morse: bool
     unstable: np.ndarray
     stable: np.ndarray
@@ -416,7 +415,8 @@ def find_critical_points(system: MorseSystem) -> list[CriticalPointData]:
     ``rhs`` at once, each at most ``_NEWTON_STEP`` long, with the block's
     central-difference Jacobian and a pseudo-inverse, so singular rows
     take finite steps; on the sphere the radius term of ``rhs`` pins
-    |u| = 1.  Rows that go non-finite drop out.  Zeros outside the
+    |u| = 1.  A field that vanishes at every seed is a constant f, and
+    is refused.  Rows that go non-finite drop out.  Zeros outside the
     domain or with a gradient norm above 1e-8 are dropped, and a zero
     within 1e-6 of an earlier one (embedded) is merged into it.  Each
     point is indexed by the flow's linearization (``_linearization``),
@@ -426,9 +426,11 @@ def find_critical_points(system: MorseSystem) -> list[CriticalPointData]:
     U = system.default_seeds()
     live = np.arange(len(U))
     with np.errstate(all="ignore"):
-        for _ in range(60):
+        for step in range(60):
             X = U[live]
             F = system.rhs(X)
+            if step == 0 and not F.any():
+                raise InputError("f is constant: its flow field vanishes at every seed")
             J = fd_jacobian(system.rhs, X, 1e-6)
             ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
             U[live[~ok]] = np.nan
@@ -451,16 +453,16 @@ def find_critical_points(system: MorseSystem) -> list[CriticalPointData]:
         if all(np.linalg.norm(E[k] - E[j]) >= 1e-6 for j in first):
             first.append(k)
     rows = good[first]
+    if np.isnan(U).all():
+        raise InputError("no critical points found: the flow field is not finite at any seed")
     if not len(rows):
-        raise InputError("no critical points found; is f constant?")
+        raise InputError("no critical points found")
     found = []
     for k, r in enumerate(rows[np.argsort(-system.f(U[rows]), kind="stable")]):
         w, v = _linearization(system, U[r])
-        eig = np.sort(-w)
         found.append(CriticalPointData(
-            id=f"c{k}", location=U[r], value=system.f(U[r]), index=int(np.sum(eig < 0)),
-            gradient_norm=float(gnorm[r]), eigenvalues=eig,
-            morse=bool(np.min(np.abs(eig)) > 1e-6),
+            id=f"c{k}", location=U[r], value=system.f(U[r]), index=int(np.sum(w > 0)),
+            gradient_norm=float(gnorm[r]), morse=bool(np.min(np.abs(w)) > 1e-6),
             unstable=np.linalg.qr(v[:, w > 0])[0], stable=np.linalg.qr(v[:, w < 0])[0],
         ))
     return found
@@ -576,7 +578,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # chart coordinates, includes both endpoints
     points: np.ndarray          # embedded coordinates
-    anchor: np.ndarray          # chart point at the pair's mid level of f
     angle: float | None = None  # shooting parameter, when applicable
 
 
@@ -622,45 +623,32 @@ def _period_shifts(system) -> np.ndarray:
 
 
 def _make_trajectories(
-    system, source: CriticalPointData, targets, paths, rows, times, states,
-    angles, prefixes=None, stops=None,
+    system, source: CriticalPointData, targets, times, states, angles,
+    prefixes=None, stops=None,
 ) -> list[Trajectory]:
-    """Trajectory i from row ``rows[i]`` of the batch ``paths``, sampled
-    at ``times[i]`` as ``states[i]``, shot at ``angles[i]`` from
-    ``source`` to ``targets[i]``.
+    """Trajectory i, sampled at ``times[i]`` as ``states[i]``, shot at
+    ``angles[i]`` from ``source`` to ``targets[i]``.
 
     ``stops[i]``, if given, ends sample row i (its closest approach to
     a saddle target); row i of the prefix arrays (states, times) goes
     before it.  Each path is prepended/appended with the exact
-    endpoint locations, and anchored on its own batch row where f
-    crosses the pair's mid level, by one ``_level_crossings`` call.
+    endpoint locations.
     """
-    mids = [0.5 * (source.value + target.value) for target in targets]
-    cut, lo, hi, fallback = [], [], [], []
-    for i, mid in enumerate(mids):
+    out = []
+    for i, target in enumerate(targets):
         end = None if stops is None else stops[i] + 1
         S, T = states[i][:end], times[i][:end]
-        k = int(np.searchsorted(-system.f(S), -mid))
-        k = min(max(k, 1), len(S) - 1)
-        cut.append((S, T))
-        lo.append(T[k - 1])
-        hi.append(T[k])
-        fallback.append(S[k])
-    anchors = _level_crossings(system, paths, rows, lo, hi, mids, fallback)
-    out = []
-    for i, (states, times) in enumerate(cut):
         if prefixes is not None:
             head = np.vstack([source.location, prefixes[0][i]])
-            pre_times = times[0] + prefixes[1][i]
+            pre_times = T[0] + prefixes[1][i]
             head_times = np.concatenate([[pre_times[0] - 1.0], pre_times])
         else:
             head = np.atleast_2d(source.location)
-            head_times = np.array([times[0] - 1.0])
-        full = np.vstack([head, states, targets[i].location])
-        full_times = np.concatenate([head_times, times, [times[-1] + 1.0]])
+            head_times = np.array([T[0] - 1.0])
+        full = np.vstack([head, S, target.location])
+        full_times = np.concatenate([head_times, T, [T[-1] + 1.0]])
         out.append(Trajectory(
-            source.id, targets[i].id, full_times, full, system.embed(full),
-            anchors[i], angles[i],
+            source.id, target.id, full_times, full, system.embed(full), angles[i],
         ))
     return out
 
@@ -915,8 +903,8 @@ class ModuliAnalysis:
             for k, c in enumerate(saddles):
                 hits = [i for i in (2 * k, 2 * k + 1) if landed[i]]
                 for traj in _make_trajectories(
-                    system, c, [crits[near[i]] for i in hits], paths, hits, T[hits],
-                    S[hits], [angles[i % 2] for i in hits],
+                    system, c, [crits[near[i]] for i in hits], T[hits], S[hits],
+                    [angles[i % 2] for i in hits],
                 ):
                     self._descents.setdefault((c.id, traj.target), []).append(traj)
         return self._descents.get((p.id, q.id), [])
@@ -1153,8 +1141,8 @@ class ModuliAnalysis:
                     hugged.append(saddles[j])
                     stops.append(stop)
             special = _make_trajectories(
-                system, p, hugged, paths, rows, T[rows], S[rows],
-                [distinct[r] for r in rows], self._back_prefix(p, X[rows]), stops,
+                system, p, hugged, T[rows], S[rows], [distinct[r] for r in rows],
+                self._back_prefix(p, X[rows]), stops,
             )
             special.sort(key=lambda s: s.angle % TWO_PI)
         result = {
@@ -1213,16 +1201,23 @@ class ModuliAnalysis:
     # -- one-dimensional moduli -----------------------------------------
 
     def _shot_trajectory(self, p, q, angles, samples=500) -> list[Trajectory]:
-        """One trajectory of (p, q) per shooting angle; the forward shots
-        and their backward prefixes each run as one batch."""
+        """One trajectory of (p, q) per shooting angle, sampled
+        ``samples`` times, or ``samples[i]`` times for angle i; the
+        forward shots and their backward prefixes each run as one batch,
+        and the forward batch is sampled once per distinct count."""
         X = self._launch(p, angles)
-        # prefixes first: their dense outputs are gone once sampled, so
-        # they never sit in memory beside the forward ones
-        prefixes = self._back_prefix(p, X)
+        # forward first: its dense output is the peak, and it is gone
+        # once sampled, before the prefix batch runs
         paths = integrate_flow(self.system, X)
+        counts = np.broadcast_to(samples, len(X))
+        times, states = [None] * len(X), [None] * len(X)
+        for m in dict.fromkeys(counts.tolist()):
+            rows = np.flatnonzero(counts == m)
+            for r, T, S in zip(rows, *paths.sample(m, rows)):
+                times[r], states[r] = T, S
+        del paths
         return _make_trajectories(
-            self.system, p, [q] * len(X), paths, range(len(X)),
-            *paths.sample(samples), angles, prefixes,
+            self.system, p, [q] * len(X), times, states, angles, self._back_prefix(p, X),
         )
 
     def _one_dim_moduli(self, p, q) -> PairData | None:
@@ -1262,53 +1257,36 @@ class ModuliAnalysis:
         each arc's end tables and length; ``specials[i]`` holds the
         sweep's special trajectories at the two ends of arc i.  The arcs
         go in at most ``_ARC_BATCHES`` groups of whole arcs, each shot
-        as one batch (``_arc_shots``) and freed before the next; each
-        arc's shots are embedded as polylines p -> q, used, and dropped."""
-        system, arcs = self.system, data.arcs
+        by one ``_shot_trajectory`` call and freed before the next.  Per
+        arc, the group shoots a probe inside each end and the midpoints
+        where its end tables meet (500 samples), then the table shots of
+        its low end and its high end (300)."""
+        arcs = data.arcs
         size = -(-len(arcs) // _ARC_BATCHES)
         for i in range(0, len(arcs), size):
             group = arcs[i:i + size]
-            for arc, ends, shots in zip(group, specials[i:], self._arc_shots(p, group)):
-                curves = [
-                    system.embed(np.vstack([p.location, pre, states, q.location]))
-                    for pre, states in shots
+            angles, samples = [], []
+            for arc in group:
+                offsets = _end_offsets(arc)
+                # below ~1e-8 the saddle passage is at integrator noise level
+                # and the probe may hop branches; 1e-6 is safe
+                probe = min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
+                angles += [
+                    arc.angle_lo + probe, arc.angle_hi - probe,
+                    arc.angle_lo + offsets[-1], arc.angle_hi - offsets[-1],
+                    *(arc.angle_lo + offsets), *(arc.angle_hi - offsets),
                 ]
+                samples += [500] * 4 + [300] * (2 * len(offsets))
+            shots = self._shot_trajectory(p, q, angles, samples)
+            per_arc = len(shots) // len(group)
+            for j, (arc, ends) in enumerate(zip(group, specials[i:])):
+                curves = [t.points for t in shots[j * per_arc:(j + 1) * per_arc]]
                 arc.ends = tuple(
                     self._match_end(p, q, s, angle, probe)
                     for s, angle, probe in zip(ends, (arc.angle_lo, arc.angle_hi), curves)
                 )
                 arc.length = self._arc_length(p, q, arc, curves[4:], *curves[2:4])
-            del shots, curves  # the group's samples, before the next batch
-
-    def _arc_shots(self, p, arcs):
-        """Per arc, its shots as (prefix states, forward states), from one
-        launch, one forward and one backward batch: a probe inside each
-        end and the midpoints where its end tables meet (500 samples),
-        then the table shots of its low end and its high end (300)."""
-        angles, samples = [], []
-        for arc in arcs:
-            offsets = _end_offsets(arc)
-            # below ~1e-8 the saddle passage is at integrator noise level
-            # and the probe may hop branches; 1e-6 is safe
-            probe = min(1e-6, 1e-3 * (arc.angle_hi - arc.angle_lo))
-            angles += [
-                arc.angle_lo + probe, arc.angle_hi - probe,
-                arc.angle_lo + offsets[-1], arc.angle_hi - offsets[-1],
-                *(arc.angle_lo + offsets), *(arc.angle_hi - offsets),
-            ]
-            samples += [500] * 4 + [300] * (2 * len(offsets))
-        X = self._launch(p, angles)
-        # forward first: its dense output is the peak, and no prefix waits
-        paths = integrate_flow(self.system, X)
-        samples, states = np.array(samples), [None] * len(X)
-        for m in (500, 300):
-            rows = np.flatnonzero(samples == m)
-            for r, S in zip(rows, paths.sample(m, rows)[1]):
-                states[r] = S
-        del paths  # sampled: the dense output goes before the prefix batch
-        shots = list(zip(self._back_prefix(p, X)[0], states))
-        per_arc = len(shots) // len(arcs)
-        return [shots[i:i + per_arc] for i in range(0, len(shots), per_arc)]
+            del shots, curves  # the group's shots, before the next batch
 
     def _match_end(self, p, q, special, angle, probe) -> ArcEndData:
         """The broken pair of the arc end at ``angle``, where the sweep's

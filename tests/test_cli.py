@@ -425,6 +425,23 @@ def test_morse_malformed_system_section_exits_2(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize(
+    "f, message",
+    [
+        ("0*x*x", "f is constant: its flow field vanishes at every seed"),
+        ("3", "f is constant: its flow field vanishes at every seed"),
+        # exp(1000) is inf, so f and its field are inf or NaN everywhere
+        ("exp(1000)*x + x*x", "no critical points found: the flow field is not finite at any seed"),
+    ],
+    ids=["zero-times-square", "number", "infinite-coefficient"],
+)
+def test_morse_names_a_constant_or_non_finite_f(tmp_path, capsys, f, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"morse_system": {"f": f, "dim": 1, "box": [[-1, 1]]}}))
+    assert main(["morse", "--system", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"input error: {message}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--family", "{dir}", "--out", "{out}"],

@@ -1,6 +1,7 @@
 """Every top-level import of the library and the tests is used, every
-defaulted parameter of a library function is passed, and every library
-function, method and class is named somewhere."""
+defaulted parameter of a library function is passed, every library
+function, method and class is named somewhere, and every field of a
+library class is read somewhere."""
 
 import ast
 import re
@@ -120,10 +121,23 @@ def test_unpassed_setting_is_reported():
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _docstrings(node) -> set[int]:
+    """The ids of the docstring nodes in a syntax tree: each string that
+    is the first statement of a module, class or function body."""
+    return {
+        id(n.body[0].value) for n in ast.walk(node)
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.body and isinstance(n.body[0], ast.Expr)
+        and isinstance(n.body[0].value, ast.Constant) and isinstance(n.body[0].value.value, str)
+    }
+
+
 def _names_in(node) -> Counter:
     """How often each name is read in a syntax tree: as a ``Name``, an
-    attribute, an imported name or a word inside a string."""
+    attribute, an imported name or a word inside a string other than a
+    docstring (perfbench names its probes in strings)."""
     names = Counter()
+    docstrings = _docstrings(node)
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             names[n.id] += 1
@@ -131,7 +145,7 @@ def _names_in(node) -> Counter:
             names[n.attr] += 1
         elif isinstance(n, ast.alias):
             names.update(n.name.split("."))
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
             names.update(_WORD.findall(n.value))
     return names
 
@@ -181,3 +195,50 @@ def test_unnamed_definition_is_reported():
     assert _unnamed_definitions([library], [library, "_dead\nx._recursive\n'_unread'\n"]) == [
         "K", "method", "outer", "probed", "used",
     ]
+    # but a docstring, of a module, a class or a function, is not a reading
+    documented = (
+        '"""_dead"""\n'
+        'class C:\n    """_recursive"""\n'
+        'def f():\n    """_unread"""\n'
+    )
+    assert _unnamed_definitions([library], [library, callers, documented]) == [
+        "_dead", "_recursive", "_unread",
+    ]
+
+
+def _unread_fields(library: list[str], sources: list[str]) -> list[str]:
+    """``Class.field`` for each annotated field of a class in the
+    ``library`` sources that no attribute read in the ``sources`` names."""
+    read = set()
+    for source in sources:
+        read |= {
+            n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    out = []
+    for source in library:
+        for c in ast.walk(ast.parse(source)):
+            if isinstance(c, ast.ClassDef):
+                out += [
+                    f"{c.name}.{f.target.id}" for f in c.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                    and f.target.id not in read
+                ]
+    return out
+
+
+def test_every_field_is_read():
+    sources = [path.read_text() for path in CALLERS]
+    assert _unread_fields([path.read_text() for path in LIBRARY], sources) == []
+
+
+def test_unread_field_is_reported():
+    library = (
+        "class Point:\n"
+        "    x: float\n    y: float\n    label: str = ''\n    unit = 'm'\n"
+        "    def shift(self):\n        self.label = 'moved'\n        return self.x\n"
+    )
+    # a field that is only written, or only named in a string, is unread
+    callers = "p = Point(1.0, 2.0, label='a')\np.y += 1\nq = getattr(p, 'label')\n"
+    assert _unread_fields([library], [library, callers]) == ["Point.y", "Point.label"]
+    assert _unread_fields([library], [library, "print(p.y, p.label)\n"]) == []

@@ -208,19 +208,8 @@ def test_trajectory_endpoints(torus_analysis):
     assert system.distance(traj.states[-1], dst) < 1e-9
 
 
-def test_anchor_stable_under_restart(torus_analysis):
-    # re-integrating from a point part-way down the same trajectory, with
-    # a different stopping threshold, must reproduce the mid-level anchor
-    system = torus_analysis.system
-    c1 = torus_analysis.by_id["c1"]
-    c3 = torus_analysis.by_id["c3"]
-    mid = 0.5 * (c1.value + c3.value)
-    traj = torus_analysis.pairs[("c1", "c3")].trajectories[0]
-    j = next(
-        i for i, u in enumerate(traj.states) if system.f(u) < c1.value - 0.05
-        and system.f(u) > mid + 0.05
-    )
-    paths = integrate_flow(system, traj.states[j], stop_speed=1e-6)
+def _mid_level_crossing(system, paths, mid):
+    # where f crosses mid along a one-row batch, by scipy's brentq
     times, states = (a[0] for a in paths.sample(400))
     fs = np.array([system.f(u) for u in states])
     k = int(np.searchsorted(-fs, -mid))
@@ -228,8 +217,28 @@ def test_anchor_stable_under_restart(torus_analysis):
         lambda t: system.f(paths([t])[0]) - mid,
         times[k - 1], times[k], xtol=1e-12,
     )
-    anchor = paths([t_mid])[0]
-    assert system.distance(anchor, traj.anchor) < 1e-6
+    return paths([t_mid])[0]
+
+
+def test_mid_level_crossing_stable_under_restart(torus_analysis):
+    # re-integrating from a point part-way down the same trajectory, with
+    # a different stopping threshold, must reproduce its mid-level crossing
+    system = torus_analysis.system
+    c1 = torus_analysis.by_id["c1"]
+    c3 = torus_analysis.by_id["c3"]
+    mid = 0.5 * (c1.value + c3.value)
+    traj = torus_analysis.pairs[("c1", "c3")].trajectories[0]
+    # the reference: c1's descent shot again, whose samples are the
+    # trajectory's
+    shot = integrate_flow(system, morse._shoot_start(system, c1, traj.angle))
+    assert shot.sample(400)[1][0].tobytes() == traj.states[1:-1].tobytes()
+    want = _mid_level_crossing(system, shot, mid)
+    j = next(
+        i for i, u in enumerate(traj.states) if system.f(u) < c1.value - 0.05
+        and system.f(u) > mid + 0.05
+    )
+    paths = integrate_flow(system, traj.states[j], stop_speed=1e-6)
+    assert system.distance(_mid_level_crossing(system, paths, mid), want) < 1e-6
 
 
 def test_torus_special_angles_pinned(torus_analysis):
@@ -464,7 +473,7 @@ def test_level_crossings_equal_scalar_brentq(torus_analysis, monkeypatch):
     assert len(calls) == 2
     calls.clear()
     analysis._shot_trajectory(p, analysis.by_id["c3"], sweep["angles"][:7])
-    assert len(calls) == 2 and calls[0] == 7
+    assert calls == [7]
 
 
 def _riccati(Y):
@@ -1344,14 +1353,12 @@ def test_saddle_descents_are_one_batch(torus_analysis, monkeypatch):
         p, q = analysis.by_id[pair[0]], analysis.by_id[pair[1]]
         got = analysis._saddle_descents(p, q)
         paths = integrate_flow(system, [morse._shoot_start(system, p, a) for a in (0.0, math.pi)])
-        want = morse._make_trajectories(
-            system, p, [q, q], paths, [0, 1], *paths.sample(400), (0.0, math.pi)
-        )
+        want = morse._make_trajectories(system, p, [q, q], *paths.sample(400), (0.0, math.pi))
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert a.angle == b.angle
             assert a.states.tobytes() == b.states.tobytes()
-            assert a.anchor.tobytes() == b.anchor.tobytes()
+            assert a.times.tobytes() == b.times.tobytes()
     assert rows[0] == 4 and len(rows) == 3  # the batch, then the two oracles
 
 
