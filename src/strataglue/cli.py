@@ -382,7 +382,6 @@ def cmd_morse(args) -> int:
             {
                 "pair": [p, q],
                 "expected_dim": trep["expected_dim"],
-                "observed_dim": trep["observed_dim"],
                 "min_angle": trep["min_angle"],
                 "passed": transversal,
             }

@@ -11,18 +11,21 @@ collar coordinates to a nearby point of the ambient space, such that
   evaluating in two stages through any subchain), and
 * concatenation along a junction matches the product embedding.
 
-Construction: each chain gets a preferred chart.  The initial chart is
-the affine inward collar off the pinned walls of the chain's stratum
-patches.  Charts of chains that are not dominated by a deeper chain are
-then *normalized* junction by junction: whenever the identity
+Construction: evaluation of ``G_I`` routes through the deepest chain
+that contains ``I`` and whose stratum patch on the point's piece pins
+every wall that ``I``'s does, and adds the collar coordinates to that
+chain's chart parameters, which makes the nesting compatibility
+automatic.  So only the chains that routes land on get a chart; on
+every family built so far these are each pair's maximal chains.  The
+initial chart is the affine inward collar off the pinned walls of the
+chain's stratum patches.  It is then *normalized* junction by
+junction: whenever the identity
 
     chart(x1 * x2, (L1, 0, L2)) = embed(G(x1, L1), G(x2, L2))
 
 fails on samples, the chart is post-composed with a correction map that
 forces it on the corresponding zero slice, leaving earlier junctions
-intact.  Evaluation of ``G_I`` always routes through the deepest chart
-available at the point's patch and adds the collar coordinates to the
-chart parameters, which makes the nesting compatibility automatic.
+intact.
 
 All residual checks report a max distance measured in the reference
 chart of the relevant space.
@@ -145,8 +148,9 @@ class CorrectedChart:
 
 
 class CollarAtlas:
-    """Built gluing maps: one preferred chart per chain, one epsilon per
-    pair, plus the routing table used for evaluation."""
+    """Built gluing maps: one preferred chart per chain that a route
+    lands on, one epsilon per pair, plus the routing table used for
+    evaluation."""
 
     def __init__(self, family: StratifiedFamily):
         self.family = family
@@ -167,7 +171,9 @@ class CollarAtlas:
             raise InputError(f"no chart for {chain}") from None
 
     def route(self, chain: Chain, piece: int) -> Chain:
-        """The deepest chain whose chart evaluates G on this patch."""
+        """The deepest chain whose chart evaluates G on this patch,
+        decided from the family's chains alone, so that ``build_collars``
+        can ask it which charts to build."""
         key = (chain, piece)
         if key in self._routes:
             return self._routes[key]
@@ -177,7 +183,7 @@ class CollarAtlas:
             raise InputError(f"{chain} has no patch on piece {piece}")
         best = chain
         for other in family.chains(*chain.pair):
-            if other.length <= best.length or other not in self.charts:
+            if other.length <= best.length:
                 continue
             if not set(chain.points) <= set(other.points):
                 continue
@@ -188,7 +194,9 @@ class CollarAtlas:
         return best
 
     def records(self) -> list[dict]:
-        """Per-chain atlas summary used by reports."""
+        """Per-chart atlas summary used by reports: one record for each
+        chain that a route lands on, none for the chains routed through
+        a deeper one."""
         out = []
         for chain in sorted(self.charts, key=lambda c: c.points):
             chart = self.charts[chain]
@@ -202,13 +210,6 @@ class CollarAtlas:
                 }
             )
         return out
-
-    def is_affine_pair(self, pair) -> bool:
-        return all(
-            self.charts[c].is_affine
-            for c in self.family.chains(*pair)
-            if c.length >= 1
-        )
 
 
 # ---------------------------------------------------------------------
@@ -440,6 +441,18 @@ def normalize_junctions(
 # ---------------------------------------------------------------------
 
 
+def _chains_by_pair(family: StratifiedFamily):
+    """Each pair with its chains of length >= 1, deepest first.  Pairs
+    come by increasing maximal chain length, so every junction of a
+    pair's chains joins collars of strictly shorter pairs."""
+    pairs = sorted(
+        family.pairs(), key=lambda pq: (pair_length(family.poset, *pq), pq)
+    )
+    for p, q in pairs:
+        chains = [c for c in family.chains(p, q) if c.length >= 1]
+        yield (p, q), sorted(chains, key=lambda c: (-c.length, c.points))
+
+
 def build_collars(
     family: StratifiedFamily,
     tol: float = 1e-9,
@@ -447,12 +460,14 @@ def build_collars(
     rng=None,
     validate: bool = True,
 ) -> CollarAtlas:
-    """Build the full atlas of gluing maps for a validated family.
+    """Build the atlas of gluing maps for a validated family.
 
-    Pairs are processed by increasing maximal chain length, so every
-    junction normalization only consumes collars of strictly shorter
-    pairs.  Each pair ends with a single eps, bounded by half its
-    shortest box side and by the eps of every sub-pair.
+    Only the chains that ``CollarAtlas.route`` lands on get a chart,
+    normalized deepest first; the others evaluate through them.  Pairs
+    are processed by increasing maximal chain length, so every junction
+    normalization only consumes collars of strictly shorter pairs.  Each
+    pair ends with a single eps, bounded by half its shortest box side
+    and by the eps of every sub-pair.
     """
     rng = np.random.default_rng(rng)
     if validate:
@@ -464,38 +479,29 @@ def build_collars(
                 f"{fail.witness}"
             )
     atlas = CollarAtlas(family)
-    pairs = sorted(
-        family.pairs(), key=lambda pq: (pair_length(family.poset, *pq), pq)
-    )
-    for p, q in pairs:
-        space = family.space(p, q)
-        eps = 0.5
-        for piece in space.pieces:
-            if piece.dim:
-                eps = min(
-                    eps,
-                    min(hi - lo for lo, hi in zip(piece.lower, piece.upper)) / 2,
-                )
+    for (p, q), chains in _chains_by_pair(family):
+        eps = min([0.5] + [
+            min(hi - lo for lo, hi in zip(piece.lower, piece.upper)) / 2
+            for piece in family.space(p, q).pieces if piece.dim
+        ])
         for r in sorted(family.poset.below(p)):
             if family.poset.precedes(r, q):
                 eps = min(eps, atlas.epsilon[(p, r)], atlas.epsilon[(r, q)])
-        chains = sorted(
-            family.chains(p, q), key=lambda c: (-c.length, c.points)
-        )
+        routed = {
+            atlas.route(chain, patch.piece)
+            for chain in chains
+            for patch in family.stratum(chain).patches
+        }
         for chain in chains:
-            if chain.length >= 1:
-                atlas.charts[chain] = AffineChart(family, chain)
-        for chain in chains:
-            if chain.length >= 1:
-                chart, eps = normalize_junctions(
+            if chain in routed:
+                atlas.charts[chain], eps = normalize_junctions(
                     atlas,
-                    atlas.charts[chain],
+                    AffineChart(family, chain),
                     eps,
                     rng=rng,
                     tol=tol,
                     epsilon_floor=epsilon_floor,
                 )
-                atlas.charts[chain] = chart
         if eps < epsilon_floor:
             raise EpsilonUnderflowError(
                 f"collar width underflow for pair ({p},{q})", epsilon=eps
@@ -646,12 +652,14 @@ def check_stratum_condition(
 ) -> tuple[int, int]:
     """Count stratum-condition failures over random zero patterns.
 
-    Returns (failures, total).  A failure is a glued point whose depth
-    or assigned chain differs from the chain kept by the zero pattern.
+    Samples every chain of length >= 1, built or routed through a
+    deeper one, pair by pair in build order.  Returns (failures, total).
+    A failure is a glued point whose depth or assigned chain differs
+    from the chain kept by the zero pattern.
     """
     rng = np.random.default_rng(rng)
     family = atlas.family
-    chains = [c for c in atlas.charts if c.length >= 1]
+    chains = [c for _, cs in _chains_by_pair(family) for c in cs]
     if not chains:
         return 0, 0
     per = max(1, samples // len(chains))

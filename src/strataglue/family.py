@@ -604,41 +604,15 @@ def with_flipped_embedding(
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcEnd:
-    """A labelled end of a one-dimensional moduli arc."""
-
-    junction: str
-    left_index: int
-    right_index: int
-
-
-@dataclass(frozen=True)
-class ArcData:
-    length: float
-    ends: tuple  # (ArcEnd | None at coordinate 0, ArcEnd | None at length)
-
-
-@dataclass(frozen=True)
-class PairModuli:
-    """Shape of one compactified moduli space, as computed numerically."""
-
-    pair: tuple[str, str]
-    dim: int
-    count: int = 0                      # 0-dim: number of trajectories
-    arcs: tuple = ()                    # 1-dim: ArcData entries
-    circle: float | None = None         # 1-dim closed: circumference
-
-
 def from_morse(
     critical_points, relations, moduli: dict, name: str = "morse"
 ) -> StratifiedFamily:
     """Assemble a family from 0/1-dimensional moduli data: ``moduli``
     maps comparable pairs to records read only for ``dim``, ``count``,
     ``circle``, ``arcs[].length`` and ``arcs[].ends[].{junction,
-    left_index, right_index}``, such as PairModuli.  Pairs of dimension
-    >= 2 are refused; every broken pair must appear exactly once among
-    the arc ends of its pair (an end of None is an open end)."""
+    left_index, right_index}``, such as ``morse.PairData``.  Pairs of
+    dimension >= 2 are refused; every broken pair must appear exactly
+    once among the arc ends of its pair (an end of None is an open end)."""
     poset = CriticalPoset(critical_points, relations)
     spaces = {}
     strata = {}

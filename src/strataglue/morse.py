@@ -1469,11 +1469,12 @@ def check_transversality(analysis: ModuliAnalysis) -> dict:
     keyed by pair.
 
     Each report gives the pair's expected moduli dimension (the index
-    gap minus 1) and the observed one.  An isolated pair's report also
-    gives the minimal principal angle, over its trajectories, between
-    the source's unstable frame propagated along the trajectory by the
-    linearized flow and the stable space of the target (one
-    ``_frame_angles`` call for every pair), and whether it exceeds 1e-3.
+    gap minus 1), which the stored moduli have by construction.  An
+    isolated pair's report also gives the minimal principal angle, over
+    its trajectories, between the source's unstable frame propagated
+    along the trajectory by the linearized flow and the stable space of
+    the target (one ``_frame_angles`` call for every pair), and whether
+    it exceeds 1e-3.
     """
     angles = _frame_angles(analysis)
     reports = {}
@@ -1482,7 +1483,6 @@ def check_transversality(analysis: ModuliAnalysis) -> dict:
         report = {
             "pair": (pid, qid),
             "expected_dim": expected_dim,
-            "observed_dim": data.dim,
             "min_angle": None,
         }
         if data.dim == 0:

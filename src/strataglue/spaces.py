@@ -1,4 +1,4 @@
-"""Polytopal manifolds with corners, their strata, faces and sector frames.
+"""Polytopal manifolds with corners, their strata and faces.
 
 A space is a disjoint union of box pieces.  Each piece is a product of
 intervals together with the set of *recorded* walls: the facets that
@@ -8,7 +8,7 @@ may record only some of its geometric walls (the stratified families
 built elsewhere use boxes whose upper walls carry no strata), and an
 axis may be flagged periodic (used for circle-shaped moduli spaces).
 
-Points, distances and frames are all in box coordinates: a point is a
+Points and distances are all in box coordinates: a point is a
 piece index with its coordinates in that piece's box.
 """
 
@@ -120,15 +120,6 @@ class StratumPatch:
 
     piece: int
     walls: frozenset[Wall]
-
-
-@dataclass(frozen=True)
-class SectorFrame:
-    """Inward frame along a stratum patch, in box coordinates."""
-
-    patch: StratumPatch
-    walls: tuple[Wall, ...]          # order fixes the frame order
-    vectors: np.ndarray              # (k, dim), box coordinates
 
 
 class CorneredSpace:
@@ -270,50 +261,6 @@ class CorneredSpace:
                     continue
                 patches.append(StratumPatch(i, frozenset(combo)))
         return patches
-
-    # -- frames --------------------------------------------------------
-
-    def inward_frame(self, patch: StratumPatch, order=None) -> SectorFrame:
-        """Inward coordinate frame along a stratum patch.
-
-        ``order`` fixes the wall ordering (defaults to sorted).  The
-        i-th vector is tangent to every pinned wall except the i-th and
-        points into the piece: the signed unit vector of its wall's axis.
-        """
-        walls = tuple(order) if order is not None else tuple(sorted(patch.walls))
-        if frozenset(walls) != patch.walls:
-            raise InputError("order must be a permutation of the patch walls")
-        signs = np.array([w.inward_sign for w in walls], dtype=float)[:, None]
-        return SectorFrame(patch, walls, signs * np.eye(self.dim)[[w.axis for w in walls]])
-
-    def verify_frame_cone(self, frame: SectorFrame, samples: int = 64,
-                          rng=None, tol: float = 1e-9) -> float:
-        """Max residual of nonnegative representations in the frame.
-
-        Samples a block of inward vectors of the tangent sector at the
-        patch, projected onto the normal space: in box coordinates, the
-        stratum's free (tangent) coordinates are zero.  The projected
-        frame is a basis of the normal space, so each vector's
-        representation in it is unique: it is solved for exactly, and
-        the residual is that of its coefficients clipped at zero, which
-        vanishes exactly when the vector lies in the frame's cone.
-        """
-        rng = np.random.default_rng(rng)
-        if not frame.patch.walls:
-            return 0.0
-        walls = sorted(frame.patch.walls)
-        pinned = [w.axis for w in walls]
-        coeffs = rng.uniform(0.0, 1.0, size=(samples, len(pinned)))
-        targets = np.zeros((samples, self.dim))
-        targets[:, pinned] = coeffs * [w.inward_sign for w in walls]
-        basis = np.zeros_like(frame.vectors)  # (k, dim)
-        basis[:, pinned] = frame.vectors[:, pinned]
-        exact = np.linalg.lstsq(basis.T, targets.T, rcond=None)[0]
-        res = np.linalg.norm(np.maximum(exact, 0.0).T @ basis - targets, axis=-1)
-        worst = float(res.max(initial=0.0))
-        if worst > tol:
-            raise InputError(f"frame cone residual {worst:.3e} exceeds {tol}")
-        return worst
 
 
 # -- convenience constructors -----------------------------------------

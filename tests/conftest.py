@@ -8,7 +8,7 @@ as read-only.
 import numpy as np
 import pytest
 
-from strataglue import analyze, build_collars, cube_family, tilted_torus
+from strataglue import analyze, build_collars, cube_family, double_system, tilted_torus
 
 
 @pytest.fixture
@@ -29,6 +29,11 @@ def cube3_atlas(cube3_family):
 @pytest.fixture(scope="session")
 def torus_analysis():
     return analyze(tilted_torus())
+
+
+@pytest.fixture(scope="session")
+def double_analysis():
+    return analyze(double_system())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

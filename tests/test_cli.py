@@ -154,16 +154,13 @@ def test_verify_stretched_cube3_report(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "verify_report.json").read_text())
     assert len(doc["checks"]) == 19
     assert all(row["pass"] for row in doc["checks"])
-    # the full chain of (p0, p3) needs corrected charts; no epsilon halves
+    # only the maximal chains that routes land on have charts; the full
+    # chain of (p0, p3) needs corrected charts; no epsilon halves
     assert doc["atlas"] == [
         {"pair": ["p0", "p2"], "chain": ["p0", "p1", "p2"], "epsilon": 0.5,
          "affine": True, "patches": 1},
         {"pair": ["p0", "p3"], "chain": ["p0", "p1", "p2", "p3"], "epsilon": 0.5,
          "affine": False, "patches": 1},
-        {"pair": ["p0", "p3"], "chain": ["p0", "p1", "p3"], "epsilon": 0.5,
-         "affine": True, "patches": 1},
-        {"pair": ["p0", "p3"], "chain": ["p0", "p2", "p3"], "epsilon": 0.5,
-         "affine": True, "patches": 1},
         {"pair": ["p1", "p3"], "chain": ["p1", "p2", "p3"], "epsilon": 0.5,
          "affine": True, "patches": 1},
     ]

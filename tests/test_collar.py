@@ -45,6 +45,7 @@ from strataglue.collar import (
 )
 from strataglue.numerics import _norms, fd_jacobian
 from strataglue.params import GlueParam, zero_support_subchain
+from strataglue.poset import is_subchain, pair_length
 from strataglue.spaces import CorneredSpace, StratumPatch, Wall
 
 FULL = Chain(("p0", "p1", "p2", "p3"))
@@ -60,22 +61,87 @@ def _patch_rows(family, chain, patch, count, rng):
     return family.space(*chain.pair).pieces[patch.piece].sample(count, rng, patch.walls)
 
 
+def _chains(family):
+    """Every chain with an interior point, built or not: pairs by their
+    maximal chain length, each pair's chains deepest first."""
+    pairs = sorted(family.pairs(), key=lambda pq: (pair_length(family.poset, *pq), pq))
+    return [
+        c
+        for pq in pairs
+        for c in sorted(family.chains(*pq), key=lambda c: (-c.length, c.points))
+        if c.length >= 1
+    ]
+
+
+def _routed_charts(atlas):
+    """The chart that each chain evaluates through on each of its
+    patches, once each."""
+    charts = {}
+    for chain in _chains(atlas.family):
+        for patch in atlas.family.stratum(chain).patches:
+            chart = atlas.chart(atlas.route(chain, patch.piece))
+            charts[id(chart)] = chart
+    return list(charts.values())
+
+
 # -- construction ------------------------------------------------------
 
 
 def test_atlas_records(cube3_atlas):
     records = cube3_atlas.records()
-    # one record per chain with at least one interior point
-    assert len(records) == 5
+    # one record per routed chain: the maximal chains of (p0,p2), (p1,p3)
+    # and (p0,p3)
+    assert [r["chain"] for r in records] == [
+        ["p0", "p1", "p2"], ["p0", "p1", "p2", "p3"], ["p1", "p2", "p3"]
+    ]
     for rec in records:
         assert rec["epsilon"] >= 1e-3
         assert rec["affine"]
 
 
 def test_affine_family_stays_affine(cube3_atlas):
-    assert all(
-        cube3_atlas.is_affine_pair(pq) for pq in cube3_atlas.family.pairs()
-    )
+    assert all(r["affine"] for r in cube3_atlas.records())
+
+
+# per family: its epsilons other than 0.5, and check_stratum_condition's
+# total at 600 samples, which do not depend on which charts are built
+_ROUTED = {
+    "cube5": ({}, 588),
+    "stretched-cube5": ({}, 588),
+    "torus": ({("c0", "c3"): 0.49380898786258953}, 600),
+    "double": ({}, 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTED))
+def test_only_routed_charts_are_built(name, request):
+    if name == "torus":
+        family = load_family(TORUS_FILE)
+    elif name == "double":
+        family = request.getfixturevalue("double_analysis").to_family()
+    else:
+        family = cube_family(5)
+        if name.startswith("stretched"):
+            family = with_target_diffeo(family, ("p0", "p5"), stretch_diffeo(4))
+    atlas = build_collars(family, rng=np.random.default_rng(11))
+    for chain in _chains(family):
+        for patch in family.stratum(chain).patches:
+            assert atlas.route(chain, patch.piece) in atlas.charts
+    maximal = {
+        c
+        for c in _chains(family)
+        if not any(c != d and is_subchain(c, d) for d in family.chains(*c.pair))
+    }
+    assert set(atlas.charts) == maximal
+    if name.endswith("cube5"):
+        assert len(maximal) == 10
+    # the stretch corrects (p0,p5)'s one maximal chain, and no other
+    stretched = [Chain(("p0", "p1", "p2", "p3", "p4", "p5"))]
+    corrected = [c for c, chart in atlas.charts.items() if not chart.is_affine]
+    assert corrected == (stretched if name == "stretched-cube5" else [])
+    eps, total = _ROUTED[name]
+    assert atlas.epsilon == {pq: eps.get(pq, 0.5) for pq in family.pairs()}
+    assert check_stratum_condition(atlas, samples=600, rng=np.random.default_rng(5)) == (0, total)
 
 
 def test_epsilon_floor_aborts_build():
@@ -235,7 +301,7 @@ def stretched_atlas():
 
 
 def test_stretched_family_needs_corrected_charts(stretched_atlas):
-    assert not stretched_atlas.is_affine_pair(("p0", "p3"))
+    assert not stretched_atlas.chart(FULL).is_affine
 
 
 def test_corrected_atlas_is_freed_without_the_cycle_collector():
@@ -243,7 +309,7 @@ def test_corrected_atlas_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         atlas = build_collars(family, rng=np.random.default_rng(2))
-        assert not atlas.is_affine_pair(("p0", "p3"))
+        assert not atlas.chart(FULL).is_affine
         ref = weakref.ref(atlas)
         del atlas
         assert ref() is None
@@ -270,10 +336,10 @@ def test_glue_rows_match_per_row_glue(stretched_atlas, rng):
 
 def test_stacked_charts_match_per_row(stretched_atlas, rng):
     family = stretched_atlas.family
-    # every corrected chart, the ones nested inside others included,
-    # and one affine chart
-    charts = [stretched_atlas.chart(Chain(("p0", "p1", "p3")))]
-    for chart in stretched_atlas.charts.values():
+    # every corrected chart a route uses, the ones nested inside others
+    # included, and the affine chart of a chain routed through FULL
+    charts = [AffineChart(family, Chain(("p0", "p1", "p3")))]
+    for chart in _routed_charts(stretched_atlas):
         while not chart.is_affine:
             charts.append(chart)
             chart = chart.prev
@@ -488,7 +554,7 @@ def _junction_residual_loop(atlas, chart, junction, eps, samples, rng):
 
 def _stratum_condition_loop(atlas, samples, rng):
     family = atlas.family
-    chains = [c for c in atlas.charts if c.length >= 1]
+    chains = _chains(family)
     per = max(1, samples // len(chains))
     failures = total = 0
     for chain in chains:
@@ -669,10 +735,14 @@ def _same_stream(seed, block, loop):
 def test_junction_residual_matches_point_loop(oracle_atlas):
     atlas = oracle_atlas
     checked = 0
-    for chain, chart in atlas.charts.items():
-        # the built chart, and the affine chart it started from, whose
-        # residual is not zero where a correction was needed
-        for c in (chart, AffineChart(atlas.family, chain)):
+    for chain in _chains(atlas.family):
+        # the built chart, if the chain has one, and the affine chart it
+        # starts from, whose residual is not zero where a correction was
+        # needed
+        charts = [AffineChart(atlas.family, chain)]
+        if chain in atlas.charts:
+            charts.insert(0, atlas.chart(chain))
+        for c in charts:
             for slot in range(chain.length):
                 junction = _Junction(atlas, chain, slot)
                 eps = atlas.eps(chain)
@@ -734,7 +804,7 @@ def test_norms_match_one_point_norm(rng):
 
 
 def test_differential_matches_point_loop(oracle_atlas):
-    for chain in oracle_atlas.charts:
+    for chain in _chains(oracle_atlas.family):
         block, loop = _same_stream(
             6,
             lambda r: check_differential(oracle_atlas, chain, samples=6, rng=r),
@@ -758,7 +828,7 @@ def test_single_space_compat_matches_point_loop(oracle_atlas):
 
 def test_nested_matches_point_loop(oracle_atlas):
     checked = 0
-    for outer in oracle_atlas.charts:
+    for outer in _chains(oracle_atlas.family):
         for k in range(outer.length + 1):
             for kept in combinations(outer.interior, k):
                 inner = Chain((outer.head, *kept, outer.tail))
@@ -802,7 +872,7 @@ def test_associativity_matches_point_loop(oracle_atlas):
 
 
 def test_injectivity_matches_point_loop(oracle_atlas):
-    for chain in oracle_atlas.charts:
+    for chain in _chains(oracle_atlas.family):
         block, loop = _same_stream(
             1,
             lambda r: check_injectivity(oracle_atlas, chain, samples=40, rng=r),
@@ -828,7 +898,7 @@ class _WarpedChart(AffineChart):
 @pytest.fixture(scope="module")
 def warped_atlas():
     atlas = build_collars(cube_family(5), rng=np.random.default_rng(11))
-    for chain in atlas.charts:
+    for chain in _chains(atlas.family):
         atlas.charts[chain] = _WarpedChart(atlas.family, chain)
     return atlas
 

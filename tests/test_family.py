@@ -23,7 +23,8 @@ from strataglue import (
     with_flipped_embedding,
     with_target_diffeo,
 )
-from strataglue.family import ArcData, ArcEnd, FaceEmbedding, PairModuli
+from strataglue.family import FaceEmbedding
+from strataglue.morse import ArcEndData, ModuliArc, PairData
 from strataglue.numerics import fd_jacobian
 from strataglue.poset import concat_chains
 
@@ -198,7 +199,7 @@ def _embedding_case(name):
     if name == "flipped-slot":
         return with_flipped_embedding(cube, triple), triple
     if name == "point-pair":
-        ends = (ArcEnd("r", 0, 0), None)
+        ends = (tiny_end(), None)
         family = from_morse(tiny_points(), tiny_relations(), tiny_moduli(ends))
         return family, ("p", "r", "q")
     if name == "torus-point-pairs":
@@ -289,14 +290,20 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def tiny_moduli(arc_ends):
+    # Morse records as analyze stores them; from_morse reads an isolated
+    # pair's count, the length of its trajectory list
     return {
-        ("p", "r"): PairModuli(("p", "r"), 0, count=1),
-        ("r", "q"): PairModuli(("r", "q"), 0, count=1),
-        ("p", "q"): PairModuli(
-            ("p", "q"), 1,
-            arcs=(ArcData(length=1.0, ends=arc_ends),),
+        ("p", "r"): PairData(("p", "r"), 0, trajectories=[None]),
+        ("r", "q"): PairData(("r", "q"), 0, trajectories=[None]),
+        ("p", "q"): PairData(
+            ("p", "q"), 1, arcs=[ModuliArc(0.0, 1.0, arc_ends, length=1.0)]
         ),
     }
+
+
+def tiny_end():
+    """An arc end breaking at r into the one (p,r) and (r,q) trajectory."""
+    return ArcEndData("r", 0, 0, angle=0.0, hausdorff=0.0)
 
 
 def tiny_points():
@@ -310,7 +317,7 @@ def tiny_relations():
 
 
 def test_from_morse_assembles_family(rng):
-    ends = (ArcEnd("r", 0, 0), None)
+    ends = (tiny_end(), None)
     family = from_morse(tiny_points(), tiny_relations(), tiny_moduli(ends))
     assert family.pairs() == [("p", "q"), ("p", "r"), ("r", "q")]
     assert validate_family(family, samples=16, rng=rng).passed
@@ -322,20 +329,20 @@ def test_from_morse_rejects_unmatched_broken_pair():
 
 
 def test_from_morse_rejects_double_matched_pair():
-    ends = (ArcEnd("r", 0, 0), ArcEnd("r", 0, 0))
+    ends = (tiny_end(), tiny_end())
     with pytest.raises(InputError):
         from_morse(tiny_points(), tiny_relations(), tiny_moduli(ends))
 
 
 def test_from_morse_rejects_high_dimension():
-    moduli = {("p", "q"): PairModuli(("p", "q"), 2)}
+    moduli = {("p", "q"): PairData(("p", "q"), 2)}
     with pytest.raises(UnsupportedDimensionError):
         from_morse([CriticalPoint("p", 3), CriticalPoint("q", 0)],
                    [("p", "q")], moduli)
 
 
 def test_from_morse_rejects_empty_moduli():
-    moduli = {("p", "q"): PairModuli(("p", "q"), 0, count=0)}
+    moduli = {("p", "q"): PairData(("p", "q"), 0)}
     with pytest.raises(InputError):
         from_morse([CriticalPoint("p", 1), CriticalPoint("q", 0)],
                    [("p", "q")], moduli)

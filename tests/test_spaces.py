@@ -1,8 +1,7 @@
-"""Box-piece spaces: walls, depth, strata, faces and inward frames."""
+"""Box-piece spaces: walls, depth, strata and faces."""
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls  # a test-only oracle
 
 from strataglue import (
     BoxPiece,
@@ -14,7 +13,6 @@ from strataglue import (
     interval_space,
     point_space,
 )
-from strataglue.spaces import SectorFrame
 
 
 # -- pieces ------------------------------------------------------------
@@ -164,78 +162,3 @@ def test_stratum_patches_count():
     # square with all 4 walls: 1 interior + 4 edges + 4 corners
     space = box_space([1.0, 1.0])
     assert len(space.stratum_patches()) == 9
-
-
-# -- frames ------------------------------------------------------------
-
-
-def test_inward_frame_directions():
-    space = box_space([1.0, 1.0])
-    patch = next(
-        p for p in space.stratum_patches()
-        if p.walls == frozenset({Wall(0, 0), Wall(1, 1)})
-    )
-    frame = space.inward_frame(patch)
-    vecs = {tuple(v) for v in frame.vectors}
-    assert vecs == {(1.0, 0.0), (0.0, -1.0)}
-    with pytest.raises(InputError):
-        space.inward_frame(patch, order=(Wall(0, 0), Wall(0, 1)))
-
-
-def test_frame_cone_representation(rng):
-    space = box_space([1.0, 1.0, 1.0])
-    for patch in space.stratum_patches():
-        frame = space.inward_frame(patch)
-        res = space.verify_frame_cone(frame, samples=16, rng=rng)
-        assert res < 1e-9
-
-
-def _nnls_residuals(space, frame, samples, rng):
-    """Per-sample residuals of scipy's nonnegative least squares in the
-    frame, both projected onto the stratum's normal space, on the frame
-    cone check's draws."""
-    mat = np.eye(space.dim)
-    walls = sorted(frame.patch.walls)
-    free = [a for a in range(space.dim) if a not in {w.axis for w in walls}]
-    q = np.linalg.qr(mat[:, free])[0] if free else np.zeros((space.dim, 0))
-
-    def project(v):
-        return v - q @ (q.T @ v)
-
-    basis = np.stack([project(v) for v in frame.vectors]).T
-    coeffs = rng.uniform(0.0, 1.0, size=(samples, len(walls)))
-    tang = rng.uniform(-1.0, 1.0, size=(samples, len(free)))
-    out = []
-    for c, t in zip(coeffs, tang):
-        v = mat[:, free] @ t
-        for ci, w in zip(c, walls):
-            v = v + ci * w.inward_sign * mat[:, w.axis]
-        out.append(nnls(basis, project(v))[1])
-    return np.array(out)
-
-
-@pytest.mark.parametrize("space", [box_space([1.0, 2.0, 0.5])], ids=["box"])
-def test_frame_cone_residuals_match_nnls(space):
-    checked = 0
-    for patch in space.stratum_patches():
-        if not patch.walls:
-            continue
-        frame = space.inward_frame(patch)
-        res = space.verify_frame_cone(frame, samples=32, rng=np.random.default_rng(5))
-        ref = _nnls_residuals(space, frame, 32, np.random.default_rng(5))
-        assert abs(res - ref.max()) < 1e-12
-        assert res < 1e-12
-        # the first vector turned outward: the sampled inward vectors leave
-        # the frame's cone, and both solvers see it
-        out = SectorFrame(
-            patch, frame.walls, np.vstack([-frame.vectors[:1], frame.vectors[1:]])
-        )
-        res = space.verify_frame_cone(out, samples=32, rng=np.random.default_rng(5), tol=np.inf)
-        ref = _nnls_residuals(space, out, 32, np.random.default_rng(5))
-        assert ref.max() > 1e-3
-        # clipping is the nonnegative optimum for an orthogonal frame
-        assert abs(res - ref.max()) < 1e-12
-        with pytest.raises(InputError):
-            space.verify_frame_cone(out, samples=32, rng=np.random.default_rng(5))
-        checked += 1
-    assert checked == 26
